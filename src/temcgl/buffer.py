@@ -286,8 +286,9 @@ class MemoryBuffer:
         return np.array([e.node_id for e in state.slots], dtype=np.int64)
 
     def footprint_bytes(self) -> int:
-        """Exact size of the serialised buffer."""
-        return len(serialize_buffer(self))
+        """Exact size of the serialised buffer, counted without serialising it."""
+        entry = struct.calcsize(_ENTRY_PREFIX) + 8 * _embedding_dim(self.entries)
+        return struct.calcsize(_BUFFER_HEADER) + len(self.entries) * entry
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +296,17 @@ class MemoryBuffer:
 # ---------------------------------------------------------------------------
 
 
+def _embedding_dim(entries: list[MemoryEntry]) -> int:
+    dims = {e.te.size for e in entries}
+    if len(dims) > 1:
+        raise ValueError("buffer entries disagree on embedding dim")
+    return dims.pop() if dims else 0
+
+
 def serialize_buffer(buf: MemoryBuffer) -> bytes:
-    dim = buf.entries[0].te.size if buf.entries else 0
+    dim = _embedding_dim(buf.entries)
     parts = [struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf.entries))]
     for e in buf.entries:
-        if e.te.size != dim:
-            raise ValueError("buffer entries disagree on embedding dim")
         parts.append(struct.pack(_ENTRY_PREFIX, e.task_id, e.node_id, e.label))
         parts.append(e.te.astype("<f8", copy=False).tobytes())
     return b"".join(parts)

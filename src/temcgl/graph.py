@@ -10,6 +10,12 @@ object because two different restrictions matter later on:
   it is normalised) — this models a network that has only grown so far;
 * ``NormalizedAdjacency.restrict`` copies the parent operator's values
   verbatim — this is what makes a node's receptive field self-contained.
+
+Both restrictions slice the parent CSR arrays with one keep-mask over its
+entries, and construction, validation, normalisation and BFS work on whole
+arrays (sort keys, masks, bincounts, scipy products); no step loops over
+nodes in Python. Only the SBM generator still draws a dense matrix per
+block pair.
 """
 from __future__ import annotations
 
@@ -56,15 +62,16 @@ class Graph:
             raise ValueError("malformed indptr")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("edge endpoint out of range")
-        for u in range(n):
-            row = self.indices[self.indptr[u] : self.indptr[u + 1]]
-            if np.any(np.diff(row) <= 0):
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        unsorted = rows[1:][(rows[1:] == rows[:-1]) & (np.diff(self.indices) <= 0)]
+        looped = rows[self.indices == rows]
+        if unsorted.size or looped.size:
+            # report the first bad row; inside it, ordering before self loops
+            u = min(unsorted[:1].tolist() + looped[:1].tolist())
+            if unsorted.size and unsorted[0] == u:
                 raise ValueError(f"row {u} has unsorted or duplicate neighbours")
-            if np.any(row == u):
-                raise ValueError(f"self loop stored at node {u}")
-        m = sp.csr_matrix(
-            (np.ones(len(self.indices)), self.indices, self.indptr), shape=(n, n)
-        )
+            raise ValueError(f"self loop stored at node {u}")
+        m = self.adjacency()
         if (m != m.T).nnz:
             raise ValueError("adjacency is not symmetric")
         if self.features.ndim != 2 or self.features.shape[0] != n:
@@ -87,6 +94,13 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def adjacency(self) -> sp.csr_matrix:
+        """The 0/1 adjacency matrix as scipy CSR."""
+        return sp.csr_matrix(
+            (np.ones(len(self.indices)), self.indices, self.indptr),
+            shape=(self.num_nodes, self.num_nodes),
+        )
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -112,13 +126,14 @@ def build_graph(
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
-    keep = edges[:, 0] != edges[:, 1]
-    both = np.vstack([edges[keep], edges[keep][:, ::-1]])
-    if len(both):
-        both = np.unique(both, axis=0)
+    u, v = edges[edges[:, 0] != edges[:, 1]].T
+    # u*n + v sorts exactly like the pair (u, v), since 0 <= v < n; a sort and
+    # a mask dedupe it (np.unique hashes integer keys first, which is slower)
+    key = np.sort(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    key = key[np.diff(key, prepend=-1) > 0]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(both[:, 0], minlength=num_nodes), out=indptr[1:])
-    indices = both[:, 1].copy()
+    np.cumsum(np.bincount(key // num_nodes, minlength=num_nodes), out=indptr[1:])
+    indices = key % num_nodes
 
     if features is None:
         features = np.zeros((num_nodes, 1))
@@ -130,6 +145,25 @@ def build_graph(
         split = np.full(num_nodes, TRAIN, dtype=np.int8)
     split = np.asarray(split, dtype=np.int8)
     return Graph(num_nodes, indptr, indices, features, labels, split)
+
+
+def _slice_csr(
+    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns `nodes` (sorted, unique) of a CSR pattern, renumbered.
+
+    Returns the new ``indptr`` and ``indices`` plus the mask of kept entries,
+    so per-entry values can be sliced alongside. The renumbering is
+    monotone, so columns stay sorted inside each row.
+    """
+    local = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    rows = np.repeat(local, np.diff(indptr))
+    cols = local[indices]
+    keep = (rows >= 0) & (cols >= 0)
+    sliced = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(nodes)), out=sliced[1:])
+    return sliced, cols[keep], keep
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +219,12 @@ class NormalizedAdjacency:
             raise ValueError("restriction wants a sorted array of unique node ids")
         if nodes[0] < 0 or nodes[-1] >= self.num_nodes:
             raise ValueError("restriction node id out of range")
-        local = np.full(self.num_nodes, -1, dtype=np.int64)
-        local[nodes] = np.arange(len(nodes))
-        keep_mask = local >= 0
-        indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-        idx_parts = []
-        val_parts = []
-        for i, u in enumerate(nodes):
-            lo, hi = self.indptr[u], self.indptr[u + 1]
-            cols = self.indices[lo:hi]
-            keep = keep_mask[cols]
-            idx_parts.append(local[cols[keep]])
-            val_parts.append(self.values[lo:hi][keep])
-            indptr[i + 1] = indptr[i] + idx_parts[-1].size
-        indices = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-        values = np.concatenate(val_parts) if val_parts else np.empty(0)
+        indptr, indices, keep = _slice_csr(self.indptr, self.indices, nodes)
         return NormalizedAdjacency(
             num_nodes=len(nodes),
             indptr=indptr,
             indices=indices,
-            values=values,
+            values=self.values[keep],
             degrees=self.degrees[nodes],
             self_loops=self.self_loops,
         )
@@ -213,20 +233,20 @@ class NormalizedAdjacency:
 def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
     """Symmetrically normalised operator of `g`, optionally with self loops."""
     n = g.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
-    cols = g.indices.astype(np.int64)
+    indptr, cols = g.indptr, g.indices
     if self_loops:
-        rows = np.concatenate([rows, np.arange(n, dtype=np.int64)])
-        cols = np.concatenate([cols, np.arange(n, dtype=np.int64)])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-    deg = np.bincount(rows, minlength=n).astype(np.float64)
+        a = g.adjacency() + sp.identity(n, format="csr")
+        a.sort_indices()
+        indptr, cols = a.indptr, a.indices
+    # scipy may hand back int32 index arrays; the operator keeps int64
+    indptr = indptr.astype(np.int64)
+    cols = cols.astype(np.int64)
+    deg = np.diff(indptr).astype(np.float64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     inv_sqrt = np.zeros(n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     values = inv_sqrt[rows] * inv_sqrt[cols]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return NormalizedAdjacency(n, indptr, cols, values, deg, self_loops)
 
 
@@ -245,9 +265,12 @@ def bfs_ball(indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray, hops: i
     for _ in range(hops):
         if frontier.size == 0:
             break
-        parts = [indices[indptr[u] : indptr[u + 1]] for u in frontier]
-        cols = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        fresh = np.unique(cols[~reached[cols]]) if cols.size else cols
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        # one gather of every frontier row, concatenated in frontier order
+        offsets = np.cumsum(lens) - lens
+        cols = indices[np.arange(lens.sum()) + np.repeat(starts - offsets, lens)]
+        fresh = np.unique(cols[~reached[cols]])
         reached[fresh] = True
         frontier = fresh
     return np.flatnonzero(reached)
@@ -282,18 +305,8 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
         raise ValueError("induced_subgraph wants a sorted array of unique node ids")
     if nodes[0] < 0 or nodes[-1] >= g.num_nodes:
         raise ValueError("node id out of range")
-    local = np.full(g.num_nodes, -1, dtype=np.int64)
-    local[nodes] = np.arange(len(nodes))
-    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
-    keep = (local[rows] >= 0) & (local[g.indices] >= 0) & (rows < g.indices)
-    pairs = np.column_stack([local[rows[keep]], local[g.indices[keep]]])
-    return build_graph(
-        len(nodes),
-        pairs,
-        features=g.features[nodes],
-        labels=g.labels[nodes],
-        split=g.split[nodes],
-    )
+    indptr, indices, _ = _slice_csr(g.indptr, g.indices, nodes)
+    return Graph(len(nodes), indptr, indices, g.features[nodes], g.labels[nodes], g.split[nodes])
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,15 @@ def test_footprint_is_exact_and_degree_free(tmp_path):
     dim = tes.dim
     assert buf.footprint_bytes() == 20 + 4 * (16 + 8 * dim)
     assert len(serialize_buffer(buf)) == buf.footprint_bytes()
+
+
+def test_footprint_counts_empty_and_rejects_mixed_dims():
+    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
+    assert buf.footprint_bytes() == len(serialize_buffer(buf)) == 20
+    g, tes = _toy_task(seed=5)
+    buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+    buf.entries[0].te = np.zeros(tes.dim + 1)
+    with pytest.raises(ValueError, match="disagree on embedding dim"):
+        buf.footprint_bytes()
+    with pytest.raises(ValueError, match="disagree on embedding dim"):
+        serialize_buffer(buf)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from temcgl import coverage
 from temcgl.coverage import coverage_max_sample, coverage_ratio, singleton_coverage_table
 from temcgl.graph import build_graph
 
@@ -51,6 +54,38 @@ def test_singleton_table_matches_set_bfs_oracle():
         for c, got in zip(candidates, table):
             want = len(ball_oracle(n, edges, [int(c)], hops)) / n
             assert got == pytest.approx(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), hops=st.integers(0, 3), block=st.sampled_from([3, 1024]))
+def test_singleton_table_matches_set_bfs_with_universe(seed: int, hops: int, block: int):
+    # a block of 3 makes the candidates span several sparse products
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 20))
+    pad = int(rng.integers(0, 4))  # trailing isolated nodes
+    edges = random_edges(n, float(rng.uniform(0.0, 0.3)), rng)
+    g = build_graph(n + pad, edges)
+    candidates = rng.permutation(n + pad)[: int(rng.integers(1, n + pad + 1))]
+    universe = None
+    members = set(range(n + pad))
+    if rng.random() < 0.7:
+        universe = rng.choice(n + pad, size=int(rng.integers(1, n + pad + 1)), replace=False)
+        members = {int(u) for u in universe}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "COVERAGE_BLOCK_ROWS", block)
+        table = singleton_coverage_table(g, candidates, hops=hops, universe=universe)
+    want = [
+        len(ball_oracle(n + pad, edges, [int(c)], hops) & members) / len(members)
+        for c in candidates
+    ]
+    assert table.tolist() == want
+
+
+def test_singleton_table_rejects_out_of_range_candidates():
+    g = build_graph(4, path_edges(4))
+    for bad in ([0, 4], [-1]):
+        with pytest.raises(ValueError, match="candidate node id out of range"):
+            singleton_coverage_table(g, np.array(bad), hops=1)
 
 
 def test_union_not_sum_when_fields_overlap():

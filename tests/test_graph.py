@@ -73,6 +73,36 @@ def test_graph_rejects_malformed_arrays():
         build_graph(2, np.array([[0, 5]]))
     assert g.num_nodes == 3  # the good one was untouched
 
+    def raw(indptr, indices):
+        n = len(indptr) - 1
+        return Graph(
+            num_nodes=n,
+            indptr=np.array(indptr, dtype=np.int64),
+            indices=np.array(indices, dtype=np.int64),
+            features=np.zeros((n, 1)),
+            labels=np.zeros(n, dtype=np.int64),
+            split=np.zeros(n, dtype=np.int8),
+        )
+
+    # the message names the first bad row; inside one row, ordering faults
+    # are reported before self loops
+    cases = [
+        ([0, 1, 3, 4], [1, 2, 0, 1], "row 1 has unsorted or duplicate neighbours"),
+        ([0, 2, 3, 4], [1, 1, 0, 0], "row 0 has unsorted or duplicate neighbours"),
+        ([0, 1, 2, 4], [1, 0, 1, 2], "self loop stored at node 2"),
+        ([0, 2, 2, 3], [2, 1, 1], "row 0 has unsorted or duplicate neighbours"),
+        ([0, 1, 3, 4], [1, 1, 0, 1], "row 1 has unsorted or duplicate neighbours"),
+        ([0, 2, 3, 4], [2, 1, 0, 2], "row 0 has unsorted or duplicate neighbours"),
+        ([0, 1, 3, 4], [0, 2, 0, 1], "self loop stored at node 0"),
+        ([0, 1, 3, 5], [1, 0, 1, 1, 0], "self loop stored at node 1"),
+        ([0, 0, 2, 3], [1, 0, 2], "row 1 has unsorted or duplicate neighbours"),
+    ]
+    for indptr, indices, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            raw(indptr, indices)
+    # column ids may fall across a row boundary, and rows may be empty
+    assert raw([0, 1, 1, 2], [2, 0]).num_edges == 1
+
 
 def test_split_nodes():
     g = build_graph(4, path_edges(4), split=np.array([0, 1, 2, 0]))
@@ -243,6 +273,37 @@ def test_induced_subgraph_slices_everything():
     np.testing.assert_array_equal(sub.features, g.features[[0, 1, 3]])
     assert sub.labels.tolist() == [0, 1, 3]
     assert sub.split.tolist() == [0, 1, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_induced_subgraph_matches_build_graph_on_filtered_edges(seed: int):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    edges = random_edges(n, float(rng.uniform(0.0, 0.4)), rng)
+    g = build_graph(
+        n,
+        edges,
+        features=rng.standard_normal((n, 2)),
+        labels=rng.integers(0, 4, size=n),
+        split=rng.integers(0, 3, size=n),
+    )
+    nodes = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    local = {int(v): i for i, v in enumerate(nodes)}
+    kept = [[local[int(u)], local[int(v)]] for u, v in edges if u in local and v in local]
+    want = build_graph(
+        len(nodes),
+        np.array(kept, dtype=np.int64).reshape(-1, 2),
+        features=g.features[nodes],
+        labels=g.labels[nodes],
+        split=g.split[nodes],
+    )
+    got = induced_subgraph(g, nodes)
+    assert got.num_nodes == want.num_nodes
+    for name in ("indptr", "indices", "features", "labels", "split"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_induced_subgraph_renormalizes_degrees():
