@@ -1,11 +1,17 @@
-"""Pinned outputs of the graph and coverage layers.
+"""Pinned outputs of the graph and coverage layers and of whole runs.
 
 Each case hashes arrays produced by the package (dtype, shape and raw
 bytes) and compares against a digest recorded from a known-good build. A
 refactor of `build_graph`, `Graph` validation, `induced_subgraph`,
-`normalize_adjacency`, `singleton_coverage_table` or the coverage sampler
-must leave every digest unchanged; a change that alters a random stream or
-the generated graphs on purpose re-records them and says why.
+`normalize_adjacency`, `singleton_coverage_table`, the samplers, the buffer
+or the head must leave every digest unchanged; a change that alters a
+random stream or the generated graphs on purpose re-records them and says
+why.
+
+The `run/...` cases cover every propagation variant under every sampler
+(replay), finetune and joint, each with both inter-task edge policies. One
+digest spans the accuracy matrix, the `serialize_buffer` bytes, every
+checkpointed weight and bias, and the buffer statistics.
 """
 from __future__ import annotations
 
@@ -14,11 +20,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from temcgl.buffer import BudgetPolicy
+from temcgl.buffer import SAMPLER_IDS, BudgetPolicy, serialize_buffer
 from temcgl.coverage import singleton_coverage_table
 from temcgl.graph import generate_sbm, induced_subgraph, normalize_adjacency
-from temcgl.harness import RunConfig, run_continual
-from temcgl.propagation import PropagationStrategy
+from temcgl.harness import EDGE_POLICIES, RunConfig, RunResult, run_continual
+from temcgl.propagation import VARIANTS, PropagationStrategy
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -40,6 +46,52 @@ _SBMS = {
 
 def _sbm(name: str):
     return generate_sbm(feature_dim=4, feature_shift=2.0, **_SBMS[name])
+
+
+_RUN_STRATEGIES = {
+    "power": PropagationStrategy("power", 2),
+    "hop_average": PropagationStrategy("hop_average", 2, alpha=0.3),
+    "lazy_power": PropagationStrategy("lazy_power", 2, alpha=0.3),
+    "reservoir": PropagationStrategy("reservoir", 2, hidden_dim=6, seed=1),
+}
+
+
+def _run_arrays(result: RunResult) -> tuple[np.ndarray, ...]:
+    stats = result.buffer_stats
+    return (
+        result.matrix.values,
+        np.frombuffer(serialize_buffer(result.buffer), dtype=np.uint8),
+        *(a for p in result.params_per_task for a in (*p.weights, *p.biases)),
+        np.array([(s.task_id, s.entries, s.bytes) for s in stats], dtype=np.int64),
+        np.array([s.coverage for s in stats]),
+    )
+
+
+def _whole_runs() -> dict[str, tuple[np.ndarray, ...]]:
+    g = generate_sbm(
+        block_sizes=(30,) * 6, p_in=0.15, p_out=0.02, feature_dim=4, feature_shift=2.0, seed=1
+    )
+    out: dict[str, tuple[np.ndarray, ...]] = {}
+    for variant, strategy in _RUN_STRATEGIES.items():
+        arms = [("replay", s) for s in SAMPLER_IDS] + [("finetune", None), ("joint", None)]
+        for regime, sampler in arms:
+            for edges in EDGE_POLICIES:
+                cfg = RunConfig(
+                    strategy=strategy,
+                    regime=regime,
+                    classes_per_task=2,
+                    sampler_id=sampler or "coverage_max",
+                    budget=BudgetPolicy(fraction=0.2),
+                    inter_task_edges=edges,
+                    hidden_dims=(8,),
+                    epochs=6,
+                    patience=3,
+                    seed=1,
+                )
+                out[f"run/{variant}/{sampler or regime}/{edges}"] = _run_arrays(
+                    run_continual(g, cfg)
+                )
+    return out
 
 
 def _golden_arrays() -> dict[str, tuple[np.ndarray, ...]]:
@@ -80,6 +132,7 @@ def _golden_arrays() -> dict[str, tuple[np.ndarray, ...]]:
         result.buffer.node_ids(),
         np.array([s.coverage for s in result.buffer_stats]),
     )
+    out.update(_whole_runs())
     return out
 
 
@@ -99,6 +152,54 @@ GOLDEN = {
     "coverage/uneven/2": "081dcdf90b487e10cab7ac35bc70cf51f829f3bd867731852fd41c64add63b05",
     "coverage/uneven/3": "0f6d6dadab924202c19a990deab7f5088a2d9f8a015f626dbca5dc9f5e695422",
     "coverage_max/run": "a7343d17e6ba6d6a3f22f9b6a53443ba219cc4d874a1e217516d363b1ac95d72",
+    "run/power/uniform/keep_seen": "1f528c9a6ef35f99b8c12c6dfbd8c71abcddd49fcb2660de80c5e5c5479dfb6f",
+    "run/power/uniform/drop_all": "82749cb151106489f1af18323078ba3934fb7df89461d7cac7965e7ba1cafc9c",
+    "run/power/centroid/keep_seen": "5a24f8de658956842e4ed708841625a4d8ecfc110ecce2d4715c7dedba442725",
+    "run/power/centroid/drop_all": "63bda01e6c1990bce0f75e7f06b9a3f88350b626abbb70e53c0066b78a86df29",
+    "run/power/coverage_max/keep_seen": "93f0b11c894f82aae8a8f43ca03a4f6a1022987acc50b99584c7daed55aebdcb",
+    "run/power/coverage_max/drop_all": "5e11c84e62dac99dbbe5bd70939e57eb40548c56b034f5207a725af6142819fd",
+    "run/power/reservoir_stream/keep_seen": "92dedd0d8366102ffcb27a6ed489738507375900a2f760ff3f26d88949b614b2",
+    "run/power/reservoir_stream/drop_all": "7ca052f3a9767bc79c673e001a2ca501cf4d9baae49b93d8a4a51e7d27d77d60",
+    "run/power/finetune/keep_seen": "916af8017dda16528ccb49f5a48b7ac5a419286c89651a6c7c684a5f1cc32d5e",
+    "run/power/finetune/drop_all": "e15254ee39d13dd32b3a9ebb3de692334c9e727e4849eb3790601ccb930c4c75",
+    "run/power/joint/keep_seen": "792614ec746fa31112ec8bc6a2c59afa32c2a2e9b12fea94f1aaa07482f6b765",
+    "run/power/joint/drop_all": "ddb63e70e197de7a7d6794f429814a01c563a854d4b9e3c2e75457df3d7a2df0",
+    "run/hop_average/uniform/keep_seen": "c5e363659e099f8bb13eb4daac45db37553ab0206b0d959527cf1c688fc6e1b1",
+    "run/hop_average/uniform/drop_all": "ec13ad45ef648657ca0ba196fd94eeae0d7aedc004a8bb5a6193130fa7652baa",
+    "run/hop_average/centroid/keep_seen": "473c867dcfc386c1e6bebf60586c00d2e8c70804e8784ef939efbf4b2f657efd",
+    "run/hop_average/centroid/drop_all": "8bd7953c9af8e6fc2173fa296f6c1822d0af282e7443ba582e66abd8de31366a",
+    "run/hop_average/coverage_max/keep_seen": "c2a0efb8181c00e8b2c13ff389f51cb8a4b987ac1a614a8c790021c67b6f6533",
+    "run/hop_average/coverage_max/drop_all": "67b120f515fe4adb9d04a5dc9cae3a9d5238184435ce3b478f53bc2258d4bb21",
+    "run/hop_average/reservoir_stream/keep_seen": "ea8690d2836d9685ee6b1a52278024443147aacb5a076361dde67b5b23d235da",
+    "run/hop_average/reservoir_stream/drop_all": "9a0f22e37f765fa45a86609eea193f7b3ebf17371c18e5ffb310c50d260249ff",
+    "run/hop_average/finetune/keep_seen": "1ef22ac788ebc34c309facdf27d60d3851511cbd397a2639b87e82ba53f39250",
+    "run/hop_average/finetune/drop_all": "010a93d7a640ac5747ccecd2b7f22a66668cbfe611064a047193ae68f9e93975",
+    "run/hop_average/joint/keep_seen": "a57460a959b0d0f561b7e8af18bbe2cb3c583576d78ce52059391cc8c60f79bd",
+    "run/hop_average/joint/drop_all": "a336c1356d69fcf7978116a3fe2f9fdaffd30058b0e1a2ad52a92c542314bf62",
+    "run/lazy_power/uniform/keep_seen": "ae18d603109e2fcad7207eb4e2bada832edf72937179148e431c3e645b621780",
+    "run/lazy_power/uniform/drop_all": "b10b63057862b1ccfccc11c463956dca47956c86ac68630c6577f90b96b4551d",
+    "run/lazy_power/centroid/keep_seen": "733812a1cabe27f42e0bc9db3c2735c3f0fbbdd75429fa0ca9680f0897acf95b",
+    "run/lazy_power/centroid/drop_all": "fed104b354e1b347c0da4c9d63a92e128a21412d1fa77c2c53483f03ccc89006",
+    "run/lazy_power/coverage_max/keep_seen": "d4c75a00a283942b781efcad92edf56ecdcd1be2f242fcac4bc32e311dbf0467",
+    "run/lazy_power/coverage_max/drop_all": "bcb7aeef597d2e56e54e6b9d5fec298d2ab1b15d352eb81d4a79e9875f812bc0",
+    "run/lazy_power/reservoir_stream/keep_seen": "663c20fc0a872a390dd244a63daf2093951cb710a65109330addf9b85312703b",
+    "run/lazy_power/reservoir_stream/drop_all": "948c4e775db2708744f2fe0f8c5e4a8f2e286e456d98872a8e8e7408cd0b2529",
+    "run/lazy_power/finetune/keep_seen": "0108c5f00c5adf25a8058a0141177dd85ae2da238be3a97e934f5740177689cf",
+    "run/lazy_power/finetune/drop_all": "64cd9355d61dde9543883df6e47eac011e59a790b28f3170c7411dd0233dcf4a",
+    "run/lazy_power/joint/keep_seen": "efd1edbef2dd51431d063a0b2294a547bfa3964f254f0b2e39e028794eb7418f",
+    "run/lazy_power/joint/drop_all": "04cc54475d2acbe2f0a478ef70c89706a4306390b683616cd7b4e6db1456257e",
+    "run/reservoir/uniform/keep_seen": "0f44ebda625f7dde75fc65a453b70336a6ba319ac85c60c935c192cefd0817cd",
+    "run/reservoir/uniform/drop_all": "bb2806a4a64eb94d617882e6cde1597efa9141d9433d0969a79505c580e94bb0",
+    "run/reservoir/centroid/keep_seen": "a15bf55f9db4b82cdd1917b63c026acb3378e439d4a1551a5ac9090d5ac89751",
+    "run/reservoir/centroid/drop_all": "8ba6438de93de8efb57ad1134f271f09c349009fb0ea050034f45966a5d31fad",
+    "run/reservoir/coverage_max/keep_seen": "3b51c8b5989e082a24817d90776e154bb6b5f2710b3a87cb672b2d8cb72bfe8b",
+    "run/reservoir/coverage_max/drop_all": "d33c451e93ed3b7bd200f5280915493d24338784db00c9934a3c75520037a837",
+    "run/reservoir/reservoir_stream/keep_seen": "415889a026d26cec9e072911dd6f8537a78aa44aacc9ec390b6e1be97d0a0a75",
+    "run/reservoir/reservoir_stream/drop_all": "54c5b47b689166164a8055a927f38de96433784a680dc2f2e61b065129119a4a",
+    "run/reservoir/finetune/keep_seen": "ab6fc9f60adf6ab39f8c62a2415eeb3a2996ee153e4f1f806e9e88c4177e9b42",
+    "run/reservoir/finetune/drop_all": "11aadce32a736856a027286af09b087c32b60121fbd83bc1d5cf0e2423b4806a",
+    "run/reservoir/joint/keep_seen": "87ae221d3270117b56d6508cb8ad1d21b3750ac626c1193456fc69a4ff9319dd",
+    "run/reservoir/joint/drop_all": "dfd02394569e195f429e63407acd2377b38ba8c99696176936a39ad98bbcf5e0",
 }
 
 
@@ -109,6 +210,7 @@ def produced() -> dict[str, str]:
 
 def test_golden_cases_are_all_pinned(produced):
     assert sorted(produced) == sorted(GOLDEN)
+    assert sorted(_RUN_STRATEGIES) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
