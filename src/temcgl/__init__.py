@@ -15,7 +15,7 @@ metrics, runs, studies), :mod:`temcgl.config` / :mod:`temcgl.cli` (experiment
 files and the ``temcgl`` command).
 """
 
-from .buffer import BudgetPolicy, MemoryBuffer, MemoryEntry, load_buffer, save_buffer
+from .buffer import BudgetPolicy, MemoryBuffer, load_buffer, save_buffer
 from .coverage import coverage_max_sample, coverage_ratio, singleton_coverage_table
 from .graph import (
     Graph,
@@ -66,7 +66,6 @@ __all__ = [
     "BudgetPolicy",
     "Graph",
     "MemoryBuffer",
-    "MemoryEntry",
     "MlpParams",
     "NormalizedAdjacency",
     "PropagationStrategy",

@@ -1,9 +1,11 @@
 """Replay memory of topology-aware embeddings, one batch of entries per task.
 
 The buffer never stores subgraphs — only embedding rows frozen at the time
-their task was current, with label / task / origin-node bookkeeping. Its
-byte footprint therefore scales with (entries x embedding dim) and is
-completely independent of node degrees.
+their task was current, with label / task / origin-node bookkeeping. It is
+held as four aligned columns: an (entries x dim) float64 matrix `te` and
+int64 vectors `label`, `task_id` and `node_id`. Its byte footprint therefore
+scales with (entries x embedding dim) and is completely independent of node
+degrees.
 
 Four selection policies fill it:
 
@@ -30,7 +32,13 @@ SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
 BUFFER_MAGIC = b"TEMB"
 BUFFER_FORMAT_VERSION = 1
 _BUFFER_HEADER = "<4sIIQ"  # magic, version, dim, entry count
-_ENTRY_PREFIX = "<iqi"  # task_id, node_id, label
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    """One packed on-disk entry, 16 + 8 * dim bytes."""
+    return np.dtype(
+        [("task_id", "<i4"), ("node_id", "<i8"), ("label", "<i4"), ("te", "<f8", (dim,))]
+    )
 
 
 @dataclass(frozen=True)
@@ -52,14 +60,6 @@ class BudgetPolicy:
         if self.count is not None:
             return self.count
         return max(1, int(round(self.fraction * num_candidates)))
-
-
-@dataclass(eq=False)
-class MemoryEntry:
-    te: np.ndarray
-    label: int
-    task_id: int
-    node_id: int
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +110,21 @@ def sample_nearest_centroid(
     return np.array(picks, dtype=np.int64)
 
 
+def _reservoir_slot(seen: int, n: int, rng: np.random.Generator) -> int:
+    """Slot of an n-slot reservoir taken by the item after `seen` others, or -1."""
+    if seen < n:
+        return seen
+    j = int(rng.integers(0, seen + 1))
+    return j if j < n else -1
+
+
 def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    slots: list[int] = []
+    slots = np.empty(min(n, len(candidates)), dtype=np.int64)
     for seen, v in enumerate(candidates):
-        if seen < n:
-            slots.append(int(v))
-        else:
-            j = int(rng.integers(0, seen + 1))
-            if j < n:
-                slots[j] = int(v)
-    return np.array(slots, dtype=np.int64)
+        j = _reservoir_slot(seen, n, rng)
+        if j >= 0:
+            slots[j] = v
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +136,15 @@ def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) ->
 class _StreamState:
     task_id: int
     seen: int = 0
-    slots: list[MemoryEntry] = field(default_factory=list)
+    slots: list[tuple[np.ndarray, int, int]] = field(default_factory=list)  # te, label, node_id
 
 
 class MemoryBuffer:
-    """Accumulates embedding entries task by task; each task commits once."""
+    """Accumulates embedding entries task by task; each task commits once.
+
+    Row i of `te` is entry i's embedding; `label[i]`, `task_id[i]` and
+    `node_id[i]` are its bookkeeping. All rows share one width.
+    """
 
     def __init__(
         self,
@@ -150,33 +159,37 @@ class MemoryBuffer:
         self.budget = budget
         self.sampler_id = sampler_id
         self.coverage_hops = coverage_hops
-        self.entries: list[MemoryEntry] = []
+        self.te = np.empty((0, 0))
+        self.label = np.empty(0, dtype=np.int64)
+        self.task_id = np.empty(0, dtype=np.int64)
+        self.node_id = np.empty(0, dtype=np.int64)
+        # A set, not the task_id column: a task may commit zero rows.
         self._tasks_seen: set[int] = set()
         self._stream: _StreamState | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.label)
 
     @property
     def tasks_seen(self) -> set[int]:
         return set(self._tasks_seen)
 
-    def te_matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty((0, 0))
-        return np.stack([e.te for e in self.entries])
+    def _check_width(self, width: int) -> None:
+        """Refuse a row that would not stack onto the rows already held."""
+        held = [self.te.shape[1]] if len(self) else []
+        if self._stream is not None and self._stream.slots:
+            held.append(self._stream.slots[0][0].size)
+        if any(w != width for w in held):
+            raise ValueError("buffer entries disagree on embedding dim")
 
-    def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.entries], dtype=np.int64)
-
-    def node_ids(self) -> np.ndarray:
-        return np.array([e.node_id for e in self.entries], dtype=np.int64)
-
-    def task_ids(self) -> np.ndarray:
-        return np.array([e.task_id for e in self.entries], dtype=np.int64)
-
-    def entries_for_task(self, task_id: int) -> list[MemoryEntry]:
-        return [e for e in self.entries if e.task_id == task_id]
+    def _append(self, te, label, task_id, node_id) -> None:
+        """Commit rows to all four columns at once."""
+        if len(label) == 0:  # keeps an empty buffer's te (0, 0): it is written with dim 0
+            return
+        self.te = np.concatenate([self.te, te]) if len(self) else np.array(te, dtype=np.float64)
+        self.label = np.concatenate([self.label, label]).astype(np.int64, copy=False)
+        self.task_id = np.concatenate([self.task_id, task_id]).astype(np.int64, copy=False)
+        self.node_id = np.concatenate([self.node_id, node_id]).astype(np.int64, copy=False)
 
     # -- batch update -------------------------------------------------------
 
@@ -208,6 +221,7 @@ class MemoryBuffer:
             raise ValueError("no candidates to sample from")
         if candidates.min() < 0 or candidates.max() >= tes.num_nodes:
             raise ValueError("candidate id out of range")
+        self._check_width(tes.dim)
         n = self.budget.resolve(len(candidates))
         if n > len(candidates):
             raise ValueError(f"budget {n} exceeds {len(candidates)} candidates")
@@ -223,16 +237,12 @@ class MemoryBuffer:
         else:  # reservoir_stream, replayed as a single in-order pass
             selected = _reservoir_pass(candidates, n, rng)
 
-        for v in selected:
-            origin = int(node_ids[v]) if node_ids is not None else int(v)
-            self.entries.append(
-                MemoryEntry(
-                    te=tes.values[v].copy(),
-                    label=int(g.labels[v]),
-                    task_id=int(task_id),
-                    node_id=origin,
-                )
-            )
+        self._append(
+            tes.values[selected],
+            g.labels[selected],
+            np.full(len(selected), task_id),
+            selected if node_ids is None else np.asarray(node_ids)[selected],
+        )
         self._tasks_seen.add(int(task_id))
         return selected
 
@@ -254,25 +264,20 @@ class MemoryBuffer:
         if self._stream is None:
             if task_id in self._tasks_seen:
                 raise ValueError(f"task {task_id} already committed to the buffer")
-            self._stream = _StreamState(task_id=int(task_id))
         elif self._stream.task_id != task_id:
             raise ValueError(
                 f"stream for task {self._stream.task_id} is open; finalize it first"
             )
-        entry = MemoryEntry(
-            te=np.asarray(te, dtype=np.float64).copy(),
-            label=int(label),
-            task_id=int(task_id),
-            node_id=int(node_id),
-        )
+        row = np.array(te, dtype=np.float64).ravel()
+        self._check_width(row.size)
+        if self._stream is None:
+            self._stream = _StreamState(task_id=int(task_id))
         state = self._stream
-        n = self.budget.count
-        if state.seen < n:
-            state.slots.append(entry)
-        else:
-            j = int(rng.integers(0, state.seen + 1))
-            if j < n:
-                state.slots[j] = entry
+        j = _reservoir_slot(state.seen, self.budget.count, rng)
+        if j == len(state.slots):
+            state.slots.append((row, int(label), int(node_id)))
+        elif j >= 0:
+            state.slots[j] = (row, int(label), int(node_id))
         state.seen += 1
 
     def stream_finalize(self) -> np.ndarray:
@@ -280,15 +285,18 @@ class MemoryBuffer:
         if self._stream is None:
             raise ValueError("no stream is open")
         state = self._stream
-        self.entries.extend(state.slots)
+        kept = np.array([node for _, _, node in state.slots], dtype=np.int64)
+        if state.slots:
+            te, label, _ = zip(*state.slots)
+            self._append(np.stack(te), np.array(label), np.full(len(kept), state.task_id), kept)
         self._tasks_seen.add(state.task_id)
         self._stream = None
-        return np.array([e.node_id for e in state.slots], dtype=np.int64)
+        return kept
 
     def footprint_bytes(self) -> int:
         """Exact size of the serialised buffer, counted without serialising it."""
-        entry = struct.calcsize(_ENTRY_PREFIX) + 8 * _embedding_dim(self.entries)
-        return struct.calcsize(_BUFFER_HEADER) + len(self.entries) * entry
+        entry = _record_dtype(self.te.shape[1]).itemsize
+        return struct.calcsize(_BUFFER_HEADER) + len(self) * entry
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +304,18 @@ class MemoryBuffer:
 # ---------------------------------------------------------------------------
 
 
-def _embedding_dim(entries: list[MemoryEntry]) -> int:
-    dims = {e.te.size for e in entries}
-    if len(dims) > 1:
-        raise ValueError("buffer entries disagree on embedding dim")
-    return dims.pop() if dims else 0
-
-
 def serialize_buffer(buf: MemoryBuffer) -> bytes:
-    dim = _embedding_dim(buf.entries)
-    parts = [struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf.entries))]
-    for e in buf.entries:
-        parts.append(struct.pack(_ENTRY_PREFIX, e.task_id, e.node_id, e.label))
-        parts.append(e.te.astype("<f8", copy=False).tobytes())
-    return b"".join(parts)
+    i32 = np.iinfo(np.int32)
+    for name in ("task_id", "label"):
+        column = getattr(buf, name)
+        if len(column) and (column.min() < i32.min or column.max() > i32.max):
+            raise ValueError(f"buffer {name} does not fit the file's int32 field")
+    dim = buf.te.shape[1]
+    records = np.empty(len(buf), dtype=_record_dtype(dim))
+    for name in ("task_id", "node_id", "label", "te"):
+        records[name] = getattr(buf, name)
+    header = struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf))
+    return header + records.tobytes()
 
 
 def save_buffer(buf: MemoryBuffer, path) -> None:
@@ -336,16 +342,11 @@ def load_buffer(
         raise ValueError(f"{path}: not a buffer file (bad magic)")
     if version != BUFFER_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    entry_bytes = struct.calcsize(_ENTRY_PREFIX) + dim * 8
-    if len(blob) != head + count * entry_bytes:
+    # sized before the dtype is built: numpy refuses a corrupt, huge dim
+    if len(blob) != head + count * (_record_dtype(0).itemsize + 8 * dim):
         raise ValueError(f"{path}: payload size mismatch")
+    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=head)
     buf = MemoryBuffer(budget, sampler_id=sampler_id, coverage_hops=coverage_hops)
-    offset = head
-    for _ in range(count):
-        task_id, node_id, label = struct.unpack_from(_ENTRY_PREFIX, blob, offset)
-        offset += struct.calcsize(_ENTRY_PREFIX)
-        te = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset).astype(np.float64)
-        offset += dim * 8
-        buf.entries.append(MemoryEntry(te=te, label=label, task_id=task_id, node_id=node_id))
-        buf._tasks_seen.add(task_id)
+    buf._append(records["te"], records["label"], records["task_id"], records["node_id"])
+    buf._tasks_seen.update(buf.task_id.tolist())
     return buf

@@ -276,15 +276,6 @@ def bfs_ball(indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray, hops: i
     return np.flatnonzero(reached)
 
 
-def l_hop_neighborhood(g: Graph, v: int, hops: int) -> np.ndarray:
-    """Sorted ids of the closed `hops`-ball around node ``v`` (includes v)."""
-    if not 0 <= v < g.num_nodes:
-        raise ValueError(f"node {v} out of range")
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    return bfs_ball(g.indptr, g.indices, np.array([v]), hops)
-
-
 def homophily_ratio(g: Graph) -> float:
     """Fraction of edges whose endpoints share a label."""
     if len(g.indices) == 0:

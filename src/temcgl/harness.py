@@ -347,11 +347,11 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
             w = class_balance_weights(y) if cfg.class_balance else None
             valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
         else:
-            entries = list(buffer.entries) if cfg.regime == "replay" else []
             x, y, w = replay_batch(
                 tes.values[local_train],
                 sub.labels[local_train],
-                entries,
+                buffer.te,
+                buffer.label,
                 cfg.replay_lambda,
                 cfg.class_balance,
             )

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .buffer import MemoryEntry
 from .graph import NormalizedAdjacency
 from .propagation import PropagationStrategy, propagation_row
 
@@ -67,19 +66,21 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    h = np.asarray(x, dtype=np.float64)
+def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """[x, h1, ...]: the input and the ReLU output of every hidden layer."""
+    hs = [np.asarray(x, dtype=np.float64)]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h @ params.weights[-1] + params.biases[-1]
+        hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+    return hs
+
+
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    return mlp_hidden(params, x) @ params.weights[-1] + params.biases[-1]
 
 
 def mlp_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Activations feeding the output layer (the input itself if depth 1)."""
-    h = np.asarray(x, dtype=np.float64)
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h
+    return _activations(params, x)[-1]
 
 
 def loss_and_grad(
@@ -102,15 +103,8 @@ def loss_and_grad(
         raise ValueError("total sample weight must be positive")
     wn = w / total
 
-    hs = [x]
-    zs = []
-    h = x
-    for wt, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ wt + b
-        h = np.maximum(z, 0.0)
-        zs.append(z)
-        hs.append(h)
-    logits = h @ params.weights[-1] + params.biases[-1]
+    hs = _activations(params, x)
+    logits = hs[-1] @ params.weights[-1] + params.biases[-1]
 
     peak = logits.max(axis=1, keepdims=True)
     logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
@@ -126,7 +120,7 @@ def loss_and_grad(
     grad_b[-1] = dlogits.sum(axis=0)
     dh = dlogits @ params.weights[-1].T
     for layer in range(len(params.weights) - 2, -1, -1):
-        dz = dh * (zs[layer] > 0)
+        dz = dh * (hs[layer + 1] > 0)  # relu(z) > 0 exactly where z > 0
         grad_w[layer] = hs[layer].T @ dz
         grad_b[layer] = dz.sum(axis=0)
         if layer:
@@ -149,7 +143,8 @@ def class_balance_weights(labels: np.ndarray) -> np.ndarray:
 def replay_batch(
     current_x: np.ndarray,
     current_y: np.ndarray,
-    entries: list[MemoryEntry],
+    replay_x: np.ndarray,
+    replay_y: np.ndarray,
     replay_lambda: float = 1.0,
     class_balance: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,11 +159,9 @@ def replay_batch(
     current_x = np.asarray(current_x, dtype=np.float64)
     current_y = np.asarray(current_y, dtype=np.int64)
     n_current = current_x.shape[0]
-    if entries:
-        x = np.vstack([current_x, np.stack([e.te for e in entries])])
-        y = np.concatenate([current_y, [e.label for e in entries]])
-    else:
-        x, y = current_x.copy(), current_y.copy()
+    # An empty buffer's te is (0, 0) and would not stack onto (n, dim) rows.
+    x = np.vstack([current_x, replay_x]) if len(replay_y) else current_x.copy()
+    y = np.concatenate([current_y, np.asarray(replay_y, dtype=np.int64)])
     w = class_balance_weights(y) if class_balance else np.ones(len(y))
     w[n_current:] *= replay_lambda
     return x, y, w

@@ -18,13 +18,14 @@ embedding bit for bit — `subnetwork_te` is that recomputation path.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import NormalizedAdjacency, bfs_ball
+from .graph import Graph, NormalizedAdjacency, bfs_ball
 from .rng import component_rng
 
 LINEAR_VARIANTS = ("power", "hop_average", "lazy_power")
@@ -188,14 +189,19 @@ def _power_iteration_norm(mat: np.ndarray, iters: int = 50) -> float:
     return float(np.linalg.norm(mat @ v))
 
 
-def reservoir_weights(strategy: PropagationStrategy, in_dim: int) -> list[np.ndarray]:
+# Bounded: one entry holds 4 * hidden_dim * max(in_dim, hidden_dim) floats.
+@functools.lru_cache(maxsize=16)
+def reservoir_weights(strategy: PropagationStrategy, in_dim: int) -> tuple[np.ndarray, ...]:
     """Fixed random weight matrices for the reservoir encoder.
 
     Step 1 uses an (input->hidden) pair; steps 2..L share a
-    (hidden->hidden) pair, returned as [W_in1, W_agg1, W_in2, W_agg2]
+    (hidden->hidden) pair, returned as (W_in1, W_agg1, W_in2, W_agg2)
     (the last two only when hops > 1). All entries are i.i.d. uniform in
     [-s, +s]; with weight_scale=None, s is chosen so the recurrent
     aggregation matrix has an estimated spectral norm of 0.9.
+
+    The draw is a pure function of (strategy, in_dim), so it is memoised;
+    the arrays are shared between callers and therefore read-only.
     """
     if strategy.variant != "reservoir":
         raise ValueError("reservoir_weights needs a reservoir strategy")
@@ -210,7 +216,10 @@ def reservoir_weights(strategy: PropagationStrategy, in_dim: int) -> list[np.nda
         scale = 0.9 / max(_power_iteration_norm(reference), 1e-12)
     else:
         scale = strategy.weight_scale
-    return [m * scale for m in raw]
+    mats = tuple(m * scale for m in raw)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
 
 
 def _propagate_reservoir(adj: NormalizedAdjacency, x: np.ndarray, strategy: PropagationStrategy) -> np.ndarray:
@@ -259,11 +268,17 @@ def propagation_row(adj: NormalizedAdjacency, strategy: PropagationStrategy, v: 
 # ---------------------------------------------------------------------------
 
 
-def receptive_field(adj: NormalizedAdjacency, v: int, hops: int) -> np.ndarray:
-    """Sorted node ids whose features can reach v within `hops` steps."""
-    if not 0 <= v < adj.num_nodes:
+def receptive_field(g: Graph | NormalizedAdjacency, v: int, hops: int) -> np.ndarray:
+    """Sorted node ids whose features can reach v within `hops` steps.
+
+    This is the closed `hops`-ball around v (v included). `g` may be a
+    `Graph` or a `NormalizedAdjacency`; only the CSR structure is read.
+    """
+    if not 0 <= v < g.num_nodes:
         raise ValueError(f"node {v} out of range")
-    return bfs_ball(adj.indptr, adj.indices, np.array([v]), hops)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    return bfs_ball(g.indptr, g.indices, np.array([v]), hops)
 
 
 def subnetwork_te(adj: NormalizedAdjacency, features: np.ndarray, strategy: PropagationStrategy, v: int) -> np.ndarray:
@@ -313,11 +328,3 @@ def load_te_matrix(path) -> TEMatrix:
     strategy = PropagationStrategy.from_descriptor(blob[head:body].decode("utf-8"))
     values = np.frombuffer(blob[body:], dtype="<f8").reshape(num_nodes, dim)
     return TEMatrix(values=values.astype(np.float64), strategy=strategy)
-
-
-def save_te_csv(tes: TEMatrix, path) -> None:
-    """Plain-text mirror of the binary matrix, one node per row."""
-    with open(path, "w") as fh:
-        fh.write("node_id," + ",".join(f"c{j}" for j in range(tes.dim)) + "\n")
-        for i, row in enumerate(tes.values):
-            fh.write(f"{i}," + ",".join(f"{x:.17g}" for x in row) + "\n")

@@ -13,7 +13,7 @@ from temcgl.buffer import (
     serialize_buffer,
 )
 from temcgl.graph import build_graph, normalize_adjacency
-from temcgl.propagation import PropagationStrategy, compute_tes
+from temcgl.propagation import PropagationStrategy, TEMatrix, compute_tes
 
 from helpers import random_edges, star_edges
 
@@ -139,6 +139,24 @@ def test_reservoir_stream_is_uniform():
     np.testing.assert_allclose(freqs, 0.2, atol=0.04)
 
 
+@pytest.mark.parametrize("count", [0, 3, 12])
+def test_reservoir_stream_matches_batch_reservoir(count: int):
+    g, tes = _toy_task(seed=6)
+    for seed in range(20):
+        candidates = np.random.default_rng(100 + seed).permutation(g.num_nodes)
+        batch = MemoryBuffer(BudgetPolicy(count=count), sampler_id="reservoir_stream")
+        batch.update_tem(g, tes, task_id=0, candidates=candidates,
+                         rng=np.random.default_rng(seed))
+        stream = MemoryBuffer(BudgetPolicy(count=count), sampler_id="reservoir_stream")
+        rng = np.random.default_rng(seed)
+        for v in candidates:
+            stream.stream_update(tes.values[v], label=g.labels[v], node_id=v, task_id=0, rng=rng)
+        np.testing.assert_array_equal(stream.stream_finalize(), batch.node_id)
+        for name in ("te", "label", "task_id", "node_id"):
+            np.testing.assert_array_equal(getattr(stream, name), getattr(batch, name))
+        assert stream.tasks_seen == batch.tasks_seen == {0}
+
+
 def test_reservoir_stream_guards():
     buf = MemoryBuffer(BudgetPolicy(fraction=0.5), sampler_id="reservoir_stream")
     with pytest.raises(ValueError):  # fraction budgets cannot stream
@@ -169,14 +187,14 @@ def test_update_tem_uniform_records_entries():
     selected = buf.update_tem(g, tes, task_id=0, candidates=candidates,
                               rng=np.random.default_rng(5), node_ids=node_ids)
     assert len(buf) == 4
-    for entry, local in zip(buf.entries, selected):
-        np.testing.assert_array_equal(entry.te, tes.values[local])
-        assert entry.label == g.labels[local]
-        assert entry.task_id == 0
-        assert entry.node_id == node_ids[local]
+    for i, local in enumerate(selected):
+        np.testing.assert_array_equal(buf.te[i], tes.values[local])
+        assert buf.label[i] == g.labels[local]
+        assert buf.task_id[i] == 0
+        assert buf.node_id[i] == node_ids[local]
     # stored rows are copies, not views
     tes.values[selected[0]] += 100.0
-    assert buf.entries[0].te[0] != tes.values[selected[0]][0]
+    assert buf.te[0, 0] != tes.values[selected[0]][0]
 
 
 def test_update_tem_rejects_repeat_task():
@@ -196,8 +214,8 @@ def test_update_tem_all_samplers_run():
             g, tes, task_id=0, candidates=np.arange(g.num_nodes), rng=np.random.default_rng(11)
         )
         assert len(selected) == 3 and len(buf) == 3
-        assert buf.te_matrix().shape == (3, tes.dim)
-        np.testing.assert_array_equal(buf.labels(), g.labels[selected])
+        assert buf.te.shape == (3, tes.dim)
+        np.testing.assert_array_equal(buf.label, g.labels[selected])
 
 
 def test_update_tem_budget_exceeds_candidates():
@@ -213,8 +231,8 @@ def test_buffer_accumulates_across_tasks():
     buf.update_tem(g, tes, task_id=0, candidates=np.arange(0, 6), rng=np.random.default_rng(0))
     buf.update_tem(g, tes, task_id=1, candidates=np.arange(6, 12), rng=np.random.default_rng(1))
     assert len(buf) == 4
-    assert buf.task_ids().tolist() == [0, 0, 1, 1]
-    assert buf.entries_for_task(1)[0].task_id == 1
+    assert buf.task_id.tolist() == [0, 0, 1, 1]
+    assert set(buf.node_id[buf.task_id == 1].tolist()) <= set(range(6, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +250,9 @@ def test_buffer_checkpoint_round_trip(tmp_path):
     back = load_buffer(path)
     assert len(back) == len(buf)
     assert back.tasks_seen == buf.tasks_seen
-    for a, b in zip(buf.entries, back.entries):
-        np.testing.assert_array_equal(a.te, b.te)
-        assert (a.label, a.task_id, a.node_id) == (b.label, b.task_id, b.node_id)
+    for name in ("te", "label", "task_id", "node_id"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(buf, name))
+        assert getattr(back, name).dtype == getattr(buf, name).dtype
     # serialize(load(save(x))) is byte-identical to serialize(x)
     resaved = tmp_path / "again.bin"
     save_buffer(back, resaved)
@@ -265,6 +283,11 @@ def test_buffer_checkpoint_rejects_corruption(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ValueError):
         load_buffer(trunc)
+    huge_dim = bytearray(path.read_bytes())
+    huge_dim[8:12] = (2**32 - 1).to_bytes(4, "little")
+    bad.write_bytes(bytes(huge_dim))
+    with pytest.raises(ValueError, match="size mismatch"):
+        load_buffer(bad)
 
 
 def test_footprint_is_exact_and_degree_free(tmp_path):
@@ -280,12 +303,53 @@ def test_footprint_is_exact_and_degree_free(tmp_path):
 
 
 def test_footprint_counts_empty_and_rejects_mixed_dims():
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
+    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
     assert buf.footprint_bytes() == len(serialize_buffer(buf)) == 20
     g, tes = _toy_task(seed=5)
     buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
-    buf.entries[0].te = np.zeros(tes.dim + 1)
+    before = serialize_buffer(buf)
+    wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)), tes.strategy)
+    # a row of another width is refused at commit time and leaves the buffer as it was
     with pytest.raises(ValueError, match="disagree on embedding dim"):
-        buf.footprint_bytes()
+        buf.update_tem(g, wide, task_id=1, candidates=np.arange(4, 8),
+                       rng=np.random.default_rng(0))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="disagree on embedding dim"):
+        buf.stream_update(np.zeros(tes.dim + 1), label=0, node_id=9, task_id=1, rng=rng)
+    with pytest.raises(ValueError):  # the refused row opened no stream
+        buf.stream_finalize()
+    assert serialize_buffer(buf) == before and buf.tasks_seen == {0}
+    assert buf.footprint_bytes() == len(before)
+
+    # inside an open stream, rows must match the stream's first row too
+    fresh = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
+    fresh.stream_update(np.zeros(3), label=0, node_id=0, task_id=0, rng=rng)
+    with pytest.raises(ValueError, match="disagree on embedding dim"):
+        fresh.stream_update(np.zeros(4), label=0, node_id=1, task_id=0, rng=rng)
+    assert fresh.stream_finalize().tolist() == [0]
+    assert fresh.te.shape == (1, 3)
+
+
+def test_zero_count_commit_still_refuses_the_task():
+    g, tes = _toy_task(seed=5)
+    buf = MemoryBuffer(BudgetPolicy(count=0), sampler_id="uniform")
+    buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+    assert len(buf) == 0 and buf.tasks_seen == {0}
+    with pytest.raises(ValueError, match="already committed"):
+        buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+    # an empty buffer is written with embedding dim 0
+    assert serialize_buffer(buf)[8:12] == (0).to_bytes(4, "little")
+
+
+def test_serialize_rejects_ids_outside_int32():
+    g, tes = _toy_task(seed=5)
+    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
+    buf.update_tem(g, tes, task_id=2**31, candidates=np.arange(4),
+                   rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="task_id"):
+        serialize_buffer(buf)
+    buf.task_id[:] = -(2**31)  # the int32 minimum itself is fine
+    assert len(serialize_buffer(buf)) == buf.footprint_bytes()
+    buf.label[0] = -(2**31) - 1
+    with pytest.raises(ValueError, match="label"):
         serialize_buffer(buf)

@@ -25,7 +25,8 @@ from temcgl.config import (
     serialize_config,
     write_manifest,
 )
-from temcgl.graph import generate_sbm, load_graph_files
+from temcgl.graph import generate_sbm, load_graph_files, normalize_adjacency
+from temcgl.propagation import compute_tes
 
 RUN_INI = """
 [dataset]
@@ -319,9 +320,17 @@ def test_cli_export_embeddings(tmp_path):
     ]) == 0
     lines = te_csv.read_text().splitlines()
     assert lines[0].startswith("# manifest=")
-    assert lines[1].split(",")[:2] == ["node_id", "label"]
+    assert lines[1] == "node_id,label," + ",".join(f"c{j}" for j in range(6))
     assert len(lines) == 2 + 80  # all four classes visible at task 1
     assert len(lines[2].split(",")) == 6 + 2
+    # the values round-trip at full precision
+    cfg = load_config(cfg_path)
+    g = load_dataset(cfg.dataset, cfg.run.seed)
+    adj = normalize_adjacency(g, cfg.run.resolved_self_loops())
+    parsed = np.loadtxt(te_csv, delimiter=",", skiprows=2, ndmin=2)
+    np.testing.assert_array_equal(parsed[:, 0], np.arange(80))
+    np.testing.assert_array_equal(parsed[:, 1], g.labels)
+    np.testing.assert_array_equal(parsed[:, 2:], compute_tes(adj, g.features, cfg.run.strategy).values)
 
     hid_csv = tmp_path / "hidden.csv"
     assert main([

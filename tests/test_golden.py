@@ -129,7 +129,7 @@ def _golden_arrays() -> dict[str, tuple[np.ndarray, ...]]:
     )
     result = run_continual(_sbm("four-equal"), cfg)
     out["coverage_max/run"] = (
-        result.buffer.node_ids(),
+        result.buffer.node_id,
         np.array([s.coverage for s in result.buffer_stats]),
     )
     out.update(_whole_runs())

@@ -14,7 +14,6 @@ from temcgl.graph import (
     generate_sbm,
     homophily_ratio,
     induced_subgraph,
-    l_hop_neighborhood,
     load_edge_list,
     load_graph_files,
     normalize_adjacency,
@@ -22,12 +21,10 @@ from temcgl.graph import (
 )
 
 from helpers import (
-    ball_oracle,
     dense_adjacency,
     dense_normalized,
     path_edges,
     random_edges,
-    star_edges,
 )
 
 
@@ -188,35 +185,6 @@ def test_restrict_requires_sorted_unique_ids():
         adj.restrict(np.array([2, 1]))
     with pytest.raises(ValueError):
         adj.restrict(np.array([1, 1, 2]))
-
-
-# ---------------------------------------------------------------------------
-# neighbourhoods
-# ---------------------------------------------------------------------------
-
-
-def test_l_hop_neighborhood_star():
-    g = build_graph(8, star_edges(7))
-    assert l_hop_neighborhood(g, 0, 1).tolist() == list(range(8))
-    assert l_hop_neighborhood(g, 3, 0).tolist() == [3]
-    assert l_hop_neighborhood(g, 3, 1).tolist() == [0, 3]
-    assert l_hop_neighborhood(g, 3, 2).tolist() == list(range(8))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), hops=st.integers(0, 3))
-def test_l_hop_neighborhood_matches_set_bfs(seed: int, hops: int):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 25))
-    edges = random_edges(n, 0.15, rng)
-    g = build_graph(n, edges)
-    v = int(rng.integers(0, n))
-    got = l_hop_neighborhood(g, v, hops)
-    want = sorted(ball_oracle(n, edges, [v], hops))
-    assert got.tolist() == want
-    if hops:  # balls are monotone in the radius
-        prev = set(l_hop_neighborhood(g, v, hops - 1).tolist())
-        assert prev <= set(got.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temcgl.buffer import BudgetPolicy, MemoryBuffer, MemoryEntry
+from temcgl.buffer import BudgetPolicy, MemoryBuffer
 from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.model import (
     MlpParams,
@@ -146,20 +146,21 @@ def test_class_balance_weights_sum_to_n(raw_labels: list[int]):
 def test_replay_batch_composition():
     cur_x = np.zeros((2, 3))
     cur_y = np.array([0, 0])
-    entries = [
-        MemoryEntry(te=np.ones(3), label=1, task_id=0, node_id=5),
-        MemoryEntry(te=2 * np.ones(3), label=1, task_id=0, node_id=6),
-    ]
-    x, y, w = replay_batch(cur_x, cur_y, entries, replay_lambda=0.5, class_balance=False)
+    replay_x = np.stack([np.ones(3), 2 * np.ones(3)])
+    replay_y = np.array([1, 1])
+    x, y, w = replay_batch(cur_x, cur_y, replay_x, replay_y, replay_lambda=0.5, class_balance=False)
     assert x.shape == (4, 3)
     assert y.tolist() == [0, 0, 1, 1]
     np.testing.assert_allclose(w, [1.0, 1.0, 0.5, 0.5])
 
-    x2, y2, w2 = replay_batch(cur_x, cur_y, entries, replay_lambda=2.0, class_balance=True)
+    x2, y2, w2 = replay_batch(cur_x, cur_y, replay_x, replay_y, replay_lambda=2.0, class_balance=True)
     # balance gives everyone 1.0 here (two per class), lambda then doubles replays
     np.testing.assert_allclose(w2, [1.0, 1.0, 2.0, 2.0])
 
-    x3, y3, w3 = replay_batch(cur_x, cur_y, [], replay_lambda=0.5, class_balance=False)
+    empty = MemoryBuffer(BudgetPolicy(count=1))  # its te is (0, 0)
+    x3, y3, w3 = replay_batch(
+        cur_x, cur_y, empty.te, empty.label, replay_lambda=0.5, class_balance=False
+    )
     assert x3.shape == (2, 3) and w3.tolist() == [1.0, 1.0]
 
 

@@ -5,22 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temcgl.graph import build_graph, l_hop_neighborhood, normalize_adjacency
+from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.propagation import (
     LINEAR_VARIANTS,
     PropagationStrategy,
-    TEMatrix,
     compute_tes,
     load_te_matrix,
     propagation_row,
     receptive_field,
     reservoir_weights,
-    save_te_csv,
     save_te_matrix,
     subnetwork_te,
 )
 
-from helpers import dense_adjacency, dense_normalized, dense_propagation_matrix, random_edges
+from helpers import (
+    ball_oracle,
+    dense_adjacency,
+    dense_normalized,
+    dense_propagation_matrix,
+    random_edges,
+    star_edges,
+)
 
 
 def _random_linear_strategy(rng: np.random.Generator) -> PropagationStrategy:
@@ -201,9 +206,46 @@ def test_reservoir_weight_shapes_and_scaling():
         assert np.max(np.abs(m)) <= 0.3
 
 
+def test_reservoir_weights_are_memoised_and_read_only():
+    strategy = PropagationStrategy("reservoir", 2, hidden_dim=7, seed=4)
+    first, second = reservoir_weights(strategy, 5), reservoir_weights(strategy, 5)
+    for a, b in zip(first, second, strict=True):
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # receptive fields and self-contained recomputation
 # ---------------------------------------------------------------------------
+
+
+def test_receptive_field_star():
+    g = build_graph(8, star_edges(7))
+    assert receptive_field(g, 0, 1).tolist() == list(range(8))
+    assert receptive_field(g, 3, 0).tolist() == [3]
+    assert receptive_field(g, 3, 1).tolist() == [0, 3]
+    assert receptive_field(g, 3, 2).tolist() == list(range(8))
+    with pytest.raises(ValueError):
+        receptive_field(g, 3, -1)
+    with pytest.raises(ValueError):
+        receptive_field(g, 8, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), hops=st.integers(0, 3))
+def test_receptive_field_matches_set_bfs(seed: int, hops: int):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    edges = random_edges(n, 0.15, rng)
+    g = build_graph(n, edges)
+    v = int(rng.integers(0, n))
+    got = receptive_field(g, v, hops)
+    want = sorted(ball_oracle(n, edges, [v], hops))
+    assert got.tolist() == want
+    if hops:  # balls are monotone in the radius
+        prev = set(receptive_field(g, v, hops - 1).tolist())
+        assert prev <= set(got.tolist())
 
 
 def test_receptive_field_matches_graph_neighborhood():
@@ -215,7 +257,7 @@ def test_receptive_field_matches_graph_neighborhood():
         for v in range(0, n, 7):
             for hops in (1, 2, 3):
                 np.testing.assert_array_equal(
-                    receptive_field(adj, v, hops), l_hop_neighborhood(g, v, hops)
+                    receptive_field(adj, v, hops), receptive_field(g, v, hops)
                 )
 
 
@@ -270,18 +312,6 @@ def test_te_matrix_binary_round_trip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ValueError):
         load_te_matrix(trunc)
-
-
-def test_te_matrix_csv_export(tmp_path):
-    values = np.array([[1.5, -2.25], [0.125, 3.0]])
-    tes = TEMatrix(values=values, strategy=PropagationStrategy("power", 1))
-    path = tmp_path / "te.csv"
-    save_te_csv(tes, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node_id,c0,c1"
-    parsed = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    np.testing.assert_allclose(parsed[:, 1:], values)
-    np.testing.assert_array_equal(parsed[:, 0], [0, 1])
 
 
 def test_compute_tes_validates_inputs():
