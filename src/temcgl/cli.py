@@ -45,6 +45,7 @@ from .harness import (
     write_accuracy_matrix,
     write_buffer_stats,
     write_curves,
+    write_embeddings,
     write_study_table,
 )
 from .model import load_model, mlp_hidden, pseudo_gradient_check, save_model
@@ -216,12 +217,7 @@ def cmd_export_embeddings(args) -> int:
             raise ConfigError(f"missing checkpoint {ckpt}")
         mat = mlp_hidden(load_model(ckpt), tes.values)
 
-    header = "node_id,label," + ",".join(f"c{j}" for j in range(mat.shape[1]))
-    lines = [f"# manifest={manifest['manifest_hash']}", header]
-    for local, node in enumerate(visible):
-        values = ",".join("%.17g" % v for v in mat[local])
-        lines.append(f"{node},{g.labels[node]},{values}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_embeddings(args.out, visible, g.labels[visible], mat, manifest["manifest_hash"])
     print(f"wrote {len(visible)} x {mat.shape[1]} {args.layer} matrix to {args.out}")
     return 0
 

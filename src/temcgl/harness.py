@@ -446,6 +446,16 @@ def write_buffer_stats(path, stats: Sequence[BufferStat], manifest_hash: str) ->
     _write_csv(path, manifest_hash, header, rows)
 
 
+def write_embeddings(path, node_ids, labels, values, manifest_hash: str) -> None:
+    """One row per node: id, label and every column at full precision."""
+    header = "node_id,label," + ",".join(f"c{j}" for j in range(values.shape[1]))
+    rows = (
+        [str(node), str(label)] + ["%.17g" % v for v in row]
+        for node, label, row in zip(node_ids, labels, values)
+    )
+    _write_csv(path, manifest_hash, header, rows)
+
+
 def write_study_table(path, cells: Sequence["StudyCell"], manifest_hash: str) -> None:
     header = "sampler,budget_fraction,mean_aa,std_aa,mean_coverage,std_coverage,num_seeds"
     rows = [

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temcgl.graph import build_graph, normalize_adjacency
+from temcgl.harness import write_embeddings
 from temcgl.propagation import (
     LINEAR_VARIANTS,
     PropagationStrategy,
+    TEMatrix,
     compute_tes,
     load_te_matrix,
     propagation_row,
@@ -312,6 +314,20 @@ def test_te_matrix_binary_round_trip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(ValueError):
         load_te_matrix(trunc)
+
+
+def test_te_matrix_csv_export(tmp_path):
+    values = np.array([[1.5, -2.25], [0.125, 3.0], [1 / 3, -1e-300]])
+    tes = TEMatrix(values=values, strategy=PropagationStrategy("power", 1))
+    path = tmp_path / "te.csv"
+    write_embeddings(path, np.array([4, 7, 9]), np.array([0, 2, 1]), tes.values, "abc")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# manifest=abc"
+    assert lines[1] == "node_id,label,c0,c1"
+    parsed = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    np.testing.assert_array_equal(parsed[:, 2:], values)
+    np.testing.assert_array_equal(parsed[:, 0], [4, 7, 9])
+    np.testing.assert_array_equal(parsed[:, 1], [0, 2, 1])
 
 
 def test_compute_tes_validates_inputs():
