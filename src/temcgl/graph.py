@@ -19,6 +19,7 @@ block pair.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,11 +188,16 @@ class NormalizedAdjacency:
     degrees: np.ndarray
     self_loops: bool
 
-    def to_scipy(self) -> sp.csr_matrix:
+    @functools.cached_property
+    def _csr(self) -> sp.csr_matrix:
         return sp.csr_matrix(
             (self.values, self.indices, self.indptr),
             shape=(self.num_nodes, self.num_nodes),
         )
+
+    def to_scipy(self) -> sp.csr_matrix:
+        """The operator as scipy CSR, built once and shared; do not modify it."""
+        return self._csr
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Sparse-dense product; the one kernel all propagation goes through.

@@ -23,6 +23,7 @@ from .coverage import coverage_ratio
 from .graph import TEST, TRAIN, VALID, Graph, induced_subgraph, normalize_adjacency
 from .model import (
     MlpParams,
+    _Workspace,
     class_balance_weights,
     init_mlp,
     loss_and_grad,
@@ -155,25 +156,27 @@ class AccuracyMatrix:
 
 
 def masked_accuracy(
-    params: MlpParams, x: np.ndarray, y: np.ndarray, allowed_classes: np.ndarray
+    params: MlpParams,
+    x: np.ndarray,
+    y: np.ndarray,
+    allowed_classes: np.ndarray,
+    *,
+    workspace: _Workspace | None = None,
 ) -> float:
     """Accuracy with the argmax restricted to `allowed_classes`.
 
     Ties resolve to the lowest allowed class id, which keeps evaluation
-    deterministic across runs.
+    deterministic across runs. A `workspace` built from this `x` and these
+    `allowed_classes` (which it checks and sorts once) is reused for the
+    forward pass.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    allowed = np.unique(np.asarray(allowed_classes, dtype=np.int64))
-    if x.shape[0] == 0:
-        raise ValueError("cannot score an empty evaluation set")
-    if len(allowed) == 0:
-        raise ValueError("no allowed classes")
-    logits = mlp_forward(params, x)
-    if allowed[0] < 0 or allowed[-1] >= logits.shape[1]:
-        raise ValueError("allowed class id outside the output layer")
+    if workspace is None:
+        workspace = _Workspace(params, x, classes=allowed_classes)
+    workspace._check(params, classes=allowed_classes)
+    logits = mlp_forward(params, x, workspace=workspace)
+    allowed = workspace.classes
     pred = allowed[np.argmax(logits[:, allowed], axis=1)]
-    return float(np.mean(pred == y))
+    return float(np.mean(pred == np.asarray(y, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +281,24 @@ def _train_head(
     Returns the parameters of the best validation epoch; with no validation
     nodes it simply runs every epoch.
     """
+    train = _Workspace(params, x, y, w)
     if len(valid_y) == 0:
         for _ in range(epochs):
-            _, grads = loss_and_grad(params, x, y, w)
+            _, grads = loss_and_grad(params, x, y, w, workspace=train)
             optimizer.step(params, grads)
         return params
 
+    scoring = _Workspace(params, valid_x, classes=allowed)
     best = params.copy()
     best_acc, best_epoch = -1.0, -1
     for epoch in range(epochs):
-        _, grads = loss_and_grad(params, x, y, w)
+        _, grads = loss_and_grad(params, x, y, w, workspace=train)
         optimizer.step(params, grads)
-        acc = masked_accuracy(params, valid_x, valid_y, allowed)
+        acc = masked_accuracy(params, valid_x, valid_y, allowed, workspace=scoring)
         if acc > best_acc:
-            best_acc, best_epoch, best = acc, epoch, params.copy()
+            best_acc, best_epoch = acc, epoch
+            for kept, current in zip(best.weights + best.biases, params.weights + params.biases):
+                np.copyto(kept, current)
         elif epoch - best_epoch >= patience:
             break
     return best

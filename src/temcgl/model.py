@@ -66,21 +66,106 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+class _Workspace:
+    """Arrays for repeated passes of one MLP shape over one fixed batch.
+
+    `loss_and_grad`, `mlp_forward` and `masked_accuracy` write every
+    batch-sized intermediate into these arrays instead of allocating fresh
+    ones, so a training loop that keeps one workspace per batch allocates no
+    batch-sized array per epoch. Results read from a workspace (activations,
+    logits, gradients) are overwritten by its next use. The inputs are
+    checked once, here: training sample weights when `y` is given, scoring
+    classes when `classes` is given. A workspace only serves the very
+    objects it was built from (see `_check`).
+    """
+
+    def __init__(self, params: MlpParams, x, y=None, sample_weight=None, classes=None):
+        self.dims = params.layer_dims
+        self.source = {"x": x, "y": y, "sample_weight": sample_weight, "classes": classes}
+        x = np.asarray(x, dtype=np.float64)
+        n = x.shape[0]
+        self.hs = [x] + [np.empty((n, d)) for d in self.dims[1:-1]]
+        self.logits = np.empty((n, self.dims[-1]))
+        if y is not None:
+            self._init_training(params, y, sample_weight)
+        if classes is not None:
+            self._init_scoring(classes)
+
+    def _init_training(self, params: MlpParams, y, sample_weight) -> None:
+        n, num_out = self.logits.shape
+        y = np.asarray(y, dtype=np.int64)
+        if sample_weight is None:
+            sample_weight = np.ones(n)
+        w = np.asarray(sample_weight, dtype=np.float64)
+        if w.shape != (n,) or np.any(w < 0):
+            raise ValueError("sample weights must be non-negative, one per row")
+        total = w.sum()
+        if total <= 0:
+            raise ValueError("total sample weight must be positive")
+        if y.shape != (n,) or np.any((y < 0) | (y >= num_out)):
+            raise ValueError("labels must be one output class per row")
+        self.wn = w / total
+        self.wn_col = self.wn[:, None]
+        # flat positions of each row's label logit
+        self.label_at = np.arange(n) * num_out + y
+        self.picked = np.empty(n)
+        self.peak = np.empty((n, 1))
+        self.log_sum = np.empty((n, 1))
+        self.shifted = np.empty((n, num_out))
+        self.dh = [np.empty_like(h) for h in self.hs[1:]]
+        self.active = [np.empty(h.shape, dtype=bool) for h in self.hs[1:]]
+        self.grads = MlpParams(
+            weights=[np.empty_like(w) for w in params.weights],
+            biases=[np.empty_like(b) for b in params.biases],
+        )
+
+    def _init_scoring(self, classes) -> None:
+        if self.logits.shape[0] == 0:
+            raise ValueError("cannot score an empty evaluation set")
+        self.classes = np.unique(np.asarray(classes, dtype=np.int64))
+        if len(self.classes) == 0:
+            raise ValueError("no allowed classes")
+        if self.classes[0] < 0 or self.classes[-1] >= self.dims[-1]:
+            raise ValueError("allowed class id outside the output layer")
+
+    def _check(self, params: MlpParams, **source) -> None:
+        """Refuse other layer sizes, or inputs other than the build's objects."""
+        if params.layer_dims != self.dims:
+            raise ValueError("workspace was built for other layer sizes")
+        if any(self.source[name] is not value for name, value in source.items()):
+            raise ValueError("workspace was built for another batch")
+
+
+def _activations(params: MlpParams, ws: _Workspace) -> list[np.ndarray]:
     """[x, h1, ...]: the input and the ReLU output of every hidden layer."""
-    hs = [np.asarray(x, dtype=np.float64)]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+    hs = ws.hs
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        h = hs[layer + 1]
+        np.matmul(hs[layer], w, out=h)
+        h += b
+        np.maximum(h, 0.0, out=h)
     return hs
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    return mlp_hidden(params, x) @ params.weights[-1] + params.biases[-1]
+def _logits(params: MlpParams, ws: _Workspace) -> np.ndarray:
+    np.matmul(_activations(params, ws)[-1], params.weights[-1], out=ws.logits)
+    ws.logits += params.biases[-1]
+    return ws.logits
+
+
+def mlp_forward(
+    params: MlpParams, x: np.ndarray, *, workspace: _Workspace | None = None
+) -> np.ndarray:
+    """Output logits; with a `workspace` built for `x`, its logits array."""
+    if workspace is None:
+        workspace = _Workspace(params, x)
+    workspace._check(params, x=x)
+    return _logits(params, workspace)
 
 
 def mlp_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Activations feeding the output layer (the input itself if depth 1)."""
-    return _activations(params, x)[-1]
+    return _activations(params, _Workspace(params, x))[-1]
 
 
 def loss_and_grad(
@@ -88,44 +173,52 @@ def loss_and_grad(
     x: np.ndarray,
     y: np.ndarray,
     sample_weight: np.ndarray | None = None,
+    *,
+    workspace: _Workspace | None = None,
 ) -> tuple[float, MlpParams]:
-    """Weighted cross-entropy (normalised by total weight) and its exact grads."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = x.shape[0]
-    if sample_weight is None:
-        sample_weight = np.ones(n)
-    w = np.asarray(sample_weight, dtype=np.float64)
-    if w.shape != (n,) or np.any(w < 0):
-        raise ValueError("sample weights must be non-negative, one per row")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("total sample weight must be positive")
-    wn = w / total
+    """Weighted cross-entropy (normalised by total weight) and its exact grads.
 
-    hs = _activations(params, x)
-    logits = hs[-1] @ params.weights[-1] + params.biases[-1]
+    With a `workspace` built for this very batch, the gradients returned are
+    the workspace's own arrays, valid until its next use.
+    """
+    ws = workspace if workspace is not None else _Workspace(params, x, y, sample_weight)
+    ws._check(params, x=x, y=y, sample_weight=sample_weight)
+    hs = ws.hs
+    logits = _logits(params, ws)
 
-    peak = logits.max(axis=1, keepdims=True)
-    logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
-    loss = float(-(wn * logp[np.arange(n), y]).sum())
+    # logp = logits - (peak + log(sum(exp(logits - peak)))), in `logits`
+    np.max(logits, axis=1, keepdims=True, out=ws.peak)
+    np.subtract(logits, ws.peak, out=ws.shifted)
+    np.exp(ws.shifted, out=ws.shifted)
+    np.sum(ws.shifted, axis=1, keepdims=True, out=ws.log_sum)
+    np.log(ws.log_sum, out=ws.log_sum)
+    ws.log_sum += ws.peak
+    logp = np.subtract(logits, ws.log_sum, out=logits)
+    flat = logp.reshape(-1)
+    np.take(flat, ws.label_at, out=ws.picked)
+    ws.picked *= ws.wn
+    loss = float(-ws.picked.sum())
 
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits *= wn[:, None]
+    dlogits = np.exp(logp, out=logp)
+    np.take(flat, ws.label_at, out=ws.picked)
+    ws.picked -= 1.0
+    flat[ws.label_at] = ws.picked
+    dlogits *= ws.wn_col
 
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
-    grad_w[-1] = hs[-1].T @ dlogits
-    grad_b[-1] = dlogits.sum(axis=0)
-    dh = dlogits @ params.weights[-1].T
+    grad_w, grad_b = ws.grads.weights, ws.grads.biases
+    np.matmul(hs[-1].T, dlogits, out=grad_w[-1])
+    np.sum(dlogits, axis=0, out=grad_b[-1])
+    if len(hs) > 1:
+        np.matmul(dlogits, params.weights[-1].T, out=ws.dh[-1])
     for layer in range(len(params.weights) - 2, -1, -1):
-        dz = dh * (hs[layer + 1] > 0)  # relu(z) > 0 exactly where z > 0
-        grad_w[layer] = hs[layer].T @ dz
-        grad_b[layer] = dz.sum(axis=0)
+        dz = ws.dh[layer]
+        # relu(z) > 0 exactly where z > 0
+        dz *= np.greater(hs[layer + 1], 0.0, out=ws.active[layer])
+        np.matmul(hs[layer].T, dz, out=grad_w[layer])
+        np.sum(dz, axis=0, out=grad_b[layer])
         if layer:
-            dh = dz @ params.weights[layer].T
-    return loss, MlpParams(weights=grad_w, biases=grad_b)
+            np.matmul(dz, params.weights[layer].T, out=ws.dh[layer - 1])
+    return loss, ws.grads
 
 
 def class_balance_weights(labels: np.ndarray) -> np.ndarray:
@@ -175,10 +268,14 @@ def replay_batch(
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
+        self._scratch: list[np.ndarray] | None = None
 
     def step(self, params: MlpParams, grads: MlpParams) -> None:
-        for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
-            p -= self.lr * g
+        tensors = params.weights + params.biases
+        if self._scratch is None:
+            self._scratch = [np.empty_like(p) for p in tensors]
+        for p, g, step in zip(tensors, grads.weights + grads.biases, self._scratch):
+            p -= np.multiply(g, self.lr, out=step)
 
 
 class AdamOptimizer:
@@ -187,26 +284,34 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._state: list[tuple[np.ndarray, ...]] | None = None
         self._t = 0
 
     def step(self, params: MlpParams, grads: MlpParams) -> None:
+        """One in-place update; per tensor it computes, in this order,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        p -= (lr * m/c1) / (sqrt(v/c2) + eps) with c_i = 1 - b_i**t."""
         tensors = params.weights + params.biases
-        gradients = grads.weights + grads.biases
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in tensors]
-            self._v = [np.zeros_like(p) for p in tensors]
+        if self._state is None:
+            # m, v and two scratch arrays per tensor
+            self._state = [tuple(np.zeros_like(p) for _ in range(4)) for p in tensors]
         self._t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(tensors, gradients, self._m, self._v):
+        c1, c2 = 1 - b1**self._t, 1 - b2**self._t
+        for p, g, (m, v, num, den) in zip(tensors, grads.weights + grads.biases, self._state):
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=num)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self._t)
-            v_hat = v / (1 - b2**self._t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1 - b2, out=num)
+            num *= g
+            v += num
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            num /= den
+            p -= num
 
 
 def make_optimizer(name: str, lr: float):

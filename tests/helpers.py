@@ -123,3 +123,135 @@ def central_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> li
             gflat[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# memory ownership
+# ---------------------------------------------------------------------------
+
+
+def arrays_held(obj) -> list[np.ndarray]:
+    """Every array an object's attributes hold directly, in lists, or as the
+    `weights` and `biases` of a parameter set."""
+    found = []
+    for value in vars(obj).values():
+        if hasattr(value, "weights") and hasattr(value, "biases"):
+            value = value.weights + value.biases
+        if isinstance(value, np.ndarray):
+            value = [value]
+        if isinstance(value, list):
+            found.extend(a for a in value if isinstance(a, np.ndarray))
+    return found
+
+
+# ---------------------------------------------------------------------------
+# allocating MLP head oracles
+# ---------------------------------------------------------------------------
+# The head's training arithmetic written the plain way: every intermediate is
+# a fresh array. The package computes into reused arrays and must match these
+# bit for bit. Parameters are plain lists of weight and bias arrays.
+
+
+def oracle_activations(weights, biases, x) -> list[np.ndarray]:
+    hs = [np.asarray(x, dtype=np.float64)]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        hs.append(np.maximum(hs[-1] @ w + b, 0.0))
+    return hs
+
+
+def oracle_forward(weights, biases, x) -> np.ndarray:
+    return oracle_activations(weights, biases, x)[-1] @ weights[-1] + biases[-1]
+
+
+def oracle_loss_and_grad(weights, biases, x, y, sample_weight=None):
+    """(loss, weight grads, bias grads) of weighted, normalised cross-entropy."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = x.shape[0]
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    wn = w / w.sum()
+    hs = oracle_activations(weights, biases, x)
+    logits = hs[-1] @ weights[-1] + biases[-1]
+    peak = logits.max(axis=1, keepdims=True)
+    logp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True)))
+    loss = float(-(wn * logp[np.arange(n), y]).sum())
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits *= wn[:, None]
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(biases)
+    grad_w[-1] = hs[-1].T @ dlogits
+    grad_b[-1] = dlogits.sum(axis=0)
+    dh = dlogits @ weights[-1].T
+    for layer in range(len(weights) - 2, -1, -1):
+        dz = dh * (hs[layer + 1] > 0)
+        grad_w[layer] = hs[layer].T @ dz
+        grad_b[layer] = dz.sum(axis=0)
+        if layer:
+            dh = dz @ weights[layer].T
+    return loss, grad_w, grad_b
+
+
+class OracleSgd:
+    def __init__(self, lr: float):
+        self.lr = lr
+
+    def step(self, tensors, gradients) -> None:
+        for p, g in zip(tensors, gradients):
+            p -= self.lr * g
+
+
+class OracleAdam:
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = self.v = None
+        self.t = 0
+
+    def step(self, tensors, gradients) -> None:
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in tensors]
+            self.v = [np.zeros_like(p) for p in tensors]
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p, g, m, v in zip(tensors, gradients, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1**self.t)
+            v_hat = v / (1 - b2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def oracle_masked_accuracy(weights, biases, x, y, allowed) -> float:
+    allowed = np.unique(np.asarray(allowed, dtype=np.int64))
+    logits = oracle_forward(weights, biases, x)
+    pred = allowed[np.argmax(logits[:, allowed], axis=1)]
+    return float(np.mean(pred == np.asarray(y, dtype=np.int64)))
+
+
+def oracle_train_head(weights, biases, optimizer, x, y, w, valid_x, valid_y, allowed,
+                      epochs: int, patience: int):
+    """Full-batch training with early stopping; returns the best (weights, biases).
+
+    Trains the given lists in place; with no validation rows it runs every
+    epoch and returns them.
+    """
+    tensors = weights + biases
+    if len(valid_y) == 0:
+        for _ in range(epochs):
+            _, gw, gb = oracle_loss_and_grad(weights, biases, x, y, w)
+            optimizer.step(tensors, gw + gb)
+        return weights, biases
+    best = ([a.copy() for a in weights], [a.copy() for a in biases])
+    best_acc, best_epoch = -1.0, -1
+    for epoch in range(epochs):
+        _, gw, gb = oracle_loss_and_grad(weights, biases, x, y, w)
+        optimizer.step(tensors, gw + gb)
+        acc = oracle_masked_accuracy(weights, biases, valid_x, valid_y, allowed)
+        if acc > best_acc:
+            best_acc, best_epoch = acc, epoch
+            best = ([a.copy() for a in weights], [a.copy() for a in biases])
+        elif epoch - best_epoch >= patience:
+            break
+    return best

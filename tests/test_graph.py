@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temcgl import graph as graph_module
 from temcgl.graph import (
     TEST,
     TRAIN,
@@ -176,6 +177,26 @@ def test_spmm_and_restrict_match_dense():
         sub = adj.restrict(keep)
         # restriction copies operator values; it must NOT renormalise
         np.testing.assert_array_equal(sub.to_scipy().toarray(), dense[np.ix_(keep, keep)])
+
+
+def test_spmm_reuses_one_scipy_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 12
+    edges = random_edges(n, 0.3, rng)
+    adj = normalize_adjacency(build_graph(n, edges), self_loops=True)
+    dense = dense_normalized(dense_adjacency(n, edges), self_loops=True)
+    x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal(n)
+    first = adj.spmm(x1)
+    matrix = adj.to_scipy()
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the scipy matrix was built again")
+
+    monkeypatch.setattr(graph_module.sp, "csr_matrix", no_rebuild)
+    second = adj.spmm(x2)
+    assert adj.to_scipy() is matrix
+    np.testing.assert_allclose(first, dense @ x1, atol=1e-12)
+    np.testing.assert_allclose(second, dense @ x2, atol=1e-12)
 
 
 def test_restrict_requires_sorted_unique_ids():

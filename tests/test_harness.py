@@ -7,6 +7,7 @@ import pytest
 
 from temcgl.buffer import BudgetPolicy
 from temcgl.graph import TRAIN, build_graph, generate_sbm
+from temcgl import harness as harness_module
 from temcgl.harness import (
     AccuracyMatrix,
     RunConfig,
@@ -21,8 +22,10 @@ from temcgl.harness import (
     write_curves,
     write_study_table,
 )
-from temcgl.model import MlpParams
+from temcgl.model import MlpParams, _Workspace
 from temcgl.propagation import PropagationStrategy
+
+from helpers import arrays_held
 
 
 def _sbm(seed: int = 0, classes: int = 6, per_class: int = 30):
@@ -211,6 +214,26 @@ def test_run_continual_shapes_and_determinism():
     assert stats[0].entries < stats[1].entries < stats[2].entries
     assert all(0.0 < s.coverage <= 1.0 for s in stats)
     assert stats[-1].bytes == res.buffer.footprint_bytes()
+
+
+def test_kept_params_share_no_memory_with_training_arrays(monkeypatch):
+    built = []
+
+    class Recorded(_Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness_module, "_Workspace", Recorded)
+    res = run_continual(_sbm(seed=3), _cfg(seed=11, epochs=20))
+    # a training and a scoring workspace per task, plus one per evaluation
+    assert len(built) == 3 * 2 + 6
+
+    reused = [a for ws in built for a in arrays_held(ws)]
+    kept = [a for p in res.params_per_task for a in p.weights + p.biases]
+    for i, a in enumerate(kept):
+        assert not any(np.shares_memory(a, b) for b in reused)
+        assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
 
 
 def test_replay_retains_earlier_tasks_better_than_finetune():

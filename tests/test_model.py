@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from temcgl.buffer import BudgetPolicy, MemoryBuffer
 from temcgl.graph import build_graph, normalize_adjacency
+from temcgl.harness import _train_head, masked_accuracy
 from temcgl.model import (
     MlpParams,
+    _Workspace,
     class_balance_weights,
     init_mlp,
     load_model,
@@ -23,7 +27,19 @@ from temcgl.model import (
 from temcgl.propagation import PropagationStrategy, propagation_row
 from temcgl.rng import component_rng
 
-from helpers import central_difference, dense_adjacency, dense_normalized, dense_propagation_matrix, random_edges
+from helpers import (
+    OracleAdam,
+    OracleSgd,
+    arrays_held,
+    central_difference,
+    dense_adjacency,
+    dense_normalized,
+    dense_propagation_matrix,
+    oracle_forward,
+    oracle_loss_and_grad,
+    oracle_train_head,
+    random_edges,
+)
 
 
 def _hand_params(weights, biases) -> MlpParams:
@@ -203,6 +219,170 @@ def test_adam_converges_on_quadratic():
         grads = _hand_params(weights=[[[params.weights[0][0, 0] - 3.0]]], biases=[[0.0]])
         opt.step(params, grads)
     assert abs(params.weights[0][0, 0] - 3.0) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# reused training arrays against the allocating oracles
+# ---------------------------------------------------------------------------
+
+# Widths and batch sizes reach the BLAS shapes of real runs (hidden 256,
+# a few hundred rows) as well as degenerate ones (width 1, one row).
+_widths = st.one_of(st.integers(1, 8), st.sampled_from([64, 128, 256]), st.integers(1, 256))
+_rows = st.one_of(st.integers(1, 8), st.integers(1, 500))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _tensors(params: MlpParams) -> list[np.ndarray]:
+    return params.weights + params.biases
+
+
+def _head_case(seed, dims, n, weighted):
+    rng = np.random.default_rng(seed)
+    params = init_mlp(dims, rng)
+    x = rng.standard_normal((n, dims[0]))
+    y = rng.integers(0, dims[-1], size=n)
+    w = rng.uniform(0.1, 3.0, size=n) if weighted else None
+    return rng, params, x, y, w
+
+
+def _oracle_optimizer(name, lr):
+    return OracleSgd(lr) if name == "sgd" else OracleAdam(lr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.lists(_widths, min_size=0, max_size=2),
+    in_dim=_widths,
+    classes=st.integers(1, 12),
+    n=_rows,
+    weighted=st.booleans(),
+    name=st.sampled_from(["sgd", "adam"]),
+)
+def test_loss_grad_and_steps_match_allocating_oracle(
+    seed, hidden, in_dim, classes, n, weighted, name
+):
+    _, params, x, y, w = _head_case(seed, [in_dim, *hidden, classes], n, weighted)
+    ref_w = [a.copy() for a in params.weights]
+    ref_b = [a.copy() for a in params.biases]
+    workspace = _Workspace(params, x, y, w)
+    optimizer, ref_optimizer = make_optimizer(name, 0.05), _oracle_optimizer(name, 0.05)
+    for _ in range(3):
+        loss, grads = loss_and_grad(params, x, y, w, workspace=workspace)
+        plain_loss, plain_grads = loss_and_grad(params, x, y, w)
+        ref_loss, ref_gw, ref_gb = oracle_loss_and_grad(ref_w, ref_b, x, y, w)
+        assert _same_bits(np.float64(loss), np.float64(ref_loss))
+        assert _same_bits(np.float64(plain_loss), np.float64(ref_loss))
+        for got, plain, want in zip(_tensors(grads), _tensors(plain_grads), ref_gw + ref_gb):
+            assert _same_bits(got, want) and _same_bits(plain, want)
+        optimizer.step(params, grads)
+        ref_optimizer.step(ref_w + ref_b, ref_gw + ref_gb)
+        for got, want in zip(_tensors(params), ref_w + ref_b):
+            assert _same_bits(got, want)
+        assert _same_bits(mlp_forward(params, x), oracle_forward(ref_w, ref_b, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.lists(_widths, min_size=0, max_size=2),
+    in_dim=_widths,
+    classes=st.integers(2, 12),
+    n=_rows,
+    n_valid=st.one_of(st.just(0), st.integers(1, 80)),
+    weighted=st.booleans(),
+    name=st.sampled_from(["sgd", "adam"]),
+    epochs=st.integers(0, 8),
+    patience=st.integers(1, 4),
+)
+def test_train_head_matches_allocating_oracle(
+    seed, hidden, in_dim, classes, n, n_valid, weighted, name, epochs, patience
+):
+    rng, params, x, y, w = _head_case(seed, [in_dim, *hidden, classes], n, weighted)
+    valid_x = rng.standard_normal((n_valid, in_dim))
+    valid_y = rng.integers(0, classes, size=n_valid)
+    allowed = rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)
+    ref = oracle_train_head(
+        [a.copy() for a in params.weights], [a.copy() for a in params.biases],
+        _oracle_optimizer(name, 0.05), x, y, w, valid_x, valid_y, allowed, epochs, patience,
+    )
+    best = _train_head(
+        params, make_optimizer(name, 0.05), x, y, w, valid_x, valid_y, allowed, epochs, patience
+    )
+    for got, want in zip(_tensors(best), ref[0] + ref[1]):
+        assert _same_bits(got, want)
+
+
+def test_workspace_rejects_other_batches_and_shapes():
+    _, params, x, y, w = _head_case(0, [4, 6, 3], 10, True)
+    workspace = _Workspace(params, x, y, w)
+    with pytest.raises(ValueError, match="another batch"):
+        loss_and_grad(params, x.copy(), y, w, workspace=workspace)
+    with pytest.raises(ValueError, match="another batch"):
+        loss_and_grad(params, x, y, None, workspace=workspace)
+    with pytest.raises(ValueError, match="layer sizes"):
+        loss_and_grad(init_mlp([4, 5, 3], component_rng(0, "x")), x, y, w, workspace=workspace)
+    with pytest.raises(ValueError, match="one output class per row"):
+        loss_and_grad(params, x, np.full(10, 3))
+    with pytest.raises(ValueError, match="one output class per row"):
+        loss_and_grad(params, x, np.full(10, -1))
+
+
+def test_reused_workspace_matches_a_fresh_one_for_other_params():
+    _, first, x, y, w = _head_case(1, [5, 7, 7, 4], 30, True)
+    second = init_mlp([5, 7, 7, 4], component_rng(2, "model-init"))
+    workspace = _Workspace(first, x, y, w)
+    loss_and_grad(first, x, y, w, workspace=workspace)
+    loss, grads = loss_and_grad(second, x, y, w, workspace=workspace)
+    fresh_loss, fresh = loss_and_grad(second, x, y, w)
+    assert loss == fresh_loss
+    for got, want in zip(_tensors(grads), _tensors(fresh)):
+        assert _same_bits(got, want)
+    scoring = _Workspace(first, x)
+    mlp_forward(first, x, workspace=scoring)
+    assert _same_bits(mlp_forward(second, x, workspace=scoring), mlp_forward(second, x))
+
+
+def test_kept_results_share_no_memory_with_a_workspace():
+    _, params, x, y, w = _head_case(3, [6, 9, 3], 25, False)
+    workspace = _Workspace(params, x, y, w)
+    kept_a = loss_and_grad(params, x, y, w)[1]
+    kept_b = loss_and_grad(params, x, y, w)[1]
+    _, reused = loss_and_grad(params, x, y, w, workspace=workspace)
+    for a, b, c in zip(_tensors(kept_a), _tensors(kept_b), _tensors(reused)):
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+        for owned in _tensors(params) + [x]:
+            assert not np.shares_memory(a, owned)
+    for kept in _tensors(kept_a):
+        assert not any(np.shares_memory(kept, a) for a in arrays_held(workspace))
+
+
+def test_one_epoch_allocates_no_batch_sized_array():
+    rng, params, x, y, w = _head_case(4, [16, 256, 10], 400, True)
+    valid_x, valid_y = rng.standard_normal((400, 16)), rng.integers(0, 10, size=400)
+    allowed = np.arange(10)
+    train = _Workspace(params, x, y, w)
+    scoring = _Workspace(params, valid_x, classes=allowed)
+    optimizer = make_optimizer("adam", 0.01)
+
+    def epoch():
+        _, grads = loss_and_grad(params, x, y, w, workspace=train)
+        optimizer.step(params, grads)
+        masked_accuracy(params, valid_x, valid_y, allowed, workspace=scoring)
+
+    epoch()  # the optimiser allocates its state on its first step
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        current, _ = tracemalloc.get_traced_memory()
+        epoch()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 400 * 256 * 8
 
 
 # ---------------------------------------------------------------------------
