@@ -41,6 +41,9 @@ _SBMS = {
     "uneven": dict(block_sizes=(50, 17, 64), p_in=0.1, p_out=0.01, seed=3),
     # sparse enough to leave isolated nodes
     "sparse": dict(block_sizes=(40, 40), p_in=0.02, p_out=0.001, seed=5),
+    # block pairs of up to 90 000 cells, several times 2**16, so the edge
+    # draw of one pair spans more than one band of a banded generator
+    "banded": dict(block_sizes=(300, 257, 31), p_in=0.02, p_out=0.003, seed=11),
 }
 
 
@@ -146,6 +149,9 @@ GOLDEN = {
     "sbm/sparse": "75b3472fecce1f2aedc0a02c7a336842ed41265208d0439866408f87a8bfb054",
     "normalize/sparse/True": "6d67f6ea8849f307d95eeecf86c86adeeaf957ac6cd9c73bf60a68683e1a356e",
     "normalize/sparse/False": "9dddf6cd4d6a78ac5f0713eecb14d0e80efcceedad08b0593dfab1ca354325a1",
+    "sbm/banded": "3e05cc927effadc0a113222c0b05b5c20451d57f44c5e37ff1b7d3d80a8908e8",
+    "normalize/banded/True": "451b90ff75f88e3b8b656818adb52d57f15f0376e0a747339cb626d51d5d4bfb",
+    "normalize/banded/False": "5e19353c6b452487ea98bf8dd957516a45c7730d0261177207f98842616d8d62",
     "induced/uneven": "046bb3aa9a381f7659fb86d95bfd619f12089479dda6042de9e1d9829ca58238",
     "restrict/uneven": "284ea487b7942e3990033be27d69b63dd1366a0286018a32db29155d6082b1fa",
     "coverage/uneven/1": "f6634694acd3105ee8064038529eb78f816c71125b5a3a9182ec31d93c32f064",
