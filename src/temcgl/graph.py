@@ -14,13 +14,17 @@ object because two different restrictions matter later on:
 Both restrictions slice the parent CSR arrays with one keep-mask over its
 entries, and construction, validation, normalisation and BFS work on whole
 arrays (sort keys, masks, bincounts, scipy products); no step loops over
-nodes in Python. Only the SBM generator still draws a dense matrix per
-block pair.
+nodes in Python. The SBM generator still draws one uniform per node pair,
+O(n^2) time, but in bounded bands spread over threads.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import logging
+import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,6 +314,71 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
 # stochastic block model
 # ---------------------------------------------------------------------------
 
+# Cells whose uniforms an SBM edge worker draws into its buffer at a time
+# (512 KiB of float64): bounds the generator's memory whatever the block sizes.
+SBM_BAND_CELLS = 1 << 16
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _sbm_edges(sizes: list[int], p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
+    """Edge array of the planted partition, drawn from ``rng``'s stream.
+
+    The stream is that of a dense draw: for every block pair (i, j), i <= j,
+    in order, ``ni * nj`` uniforms in row-major order, and cell (r, c) is an
+    edge when its uniform is below the pair's probability (on a diagonal
+    pair only cells with r < c count). A PCG64 double takes exactly one
+    64-bit output, so the stream is cut into one contiguous run per worker
+    thread: each copies ``rng``, advances the copy to its run's start and
+    draws the run in bands of at most ``SBM_BAND_CELLS`` cells into one
+    reused buffer, with the interpreter lock released while it fills it.
+    The edges are those of the dense draw, in the same order.
+    """
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    pairs, total = [], 0  # (stream position of the pair's first cell, i, j)
+    for i in range(len(sizes)):
+        for j in range(i, len(sizes)):
+            pairs.append((total, i, j))
+            total += sizes[i] * sizes[j]
+
+    def draw(start: int, stop: int) -> list[np.ndarray]:
+        gen = copy.deepcopy(rng)
+        gen.bit_generator.advance(start)
+        u = np.empty(min(SBM_BAND_CELLS, stop - start))
+        hit = np.empty(len(u), dtype=bool)
+        found = []
+        for base, i, j in pairs:
+            nj, end = sizes[j], base + sizes[i] * sizes[j]
+            for first in range(max(base, start), min(end, stop), len(u)):
+                band = slice(0, min(first + len(u), end, stop) - first)
+                gen.random(out=u[band])
+                np.less(u[band], p_in if i == j else p_out, out=hit[band])
+                r, c = np.divmod(np.flatnonzero(hit[band]) + (first - base), nj)
+                if i == j:
+                    upper = r < c
+                    r, c = r[upper], c[upper]
+                found.append(np.column_stack([r + offsets[i], c + offsets[j]]))
+        return found
+
+    workers = min(-(-total // SBM_BAND_CELLS), _cpu_count())
+    cuts = [total * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(draw, a, b) for a, b in zip(cuts, cuts[1:])]
+        found = [e for f in futures for e in f.result()]
+    return np.vstack(found)
+
 
 def generate_sbm(
     block_sizes,
@@ -321,19 +390,21 @@ def generate_sbm(
 ) -> Graph:
     """Planted-partition graph whose blocks double as class labels.
 
+    Each node pair is linked independently with probability ``p_in``
+    inside a block and ``p_out`` across (see `_sbm_edges` for the stream).
     Features are unit Gaussians around per-class means. The first
     ``feature_dim`` class means sit along scaled one-hot directions, exactly
     ``feature_shift`` apart pairwise; any further classes get seeded random
     unit directions (approximately that far apart). Each class is split
     60/20/20 into train/valid/test, with at least one training node.
     """
-    sizes = [int(s) for s in block_sizes]
+    sizes = [_as_int("block_sizes", s) for s in block_sizes]
     if len(sizes) == 0 or any(s < 1 for s in sizes):
         raise ValueError("block_sizes must be a non-empty list of positive ints")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    if feature_dim < 1:
+    if _as_int("feature_dim", feature_dim) < 1:
         raise ValueError("feature_dim must be >= 1")
     if feature_shift < 0:
         raise ValueError("feature_shift must be >= 0")
@@ -342,22 +413,7 @@ def generate_sbm(
     n = sum(sizes)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.repeat(np.arange(num_classes), sizes)
-
-    edge_rng = component_rng(seed, "sbm-edges")
-    pair_blocks = []
-    for i in range(num_classes):
-        for j in range(i, num_classes):
-            ni, nj = sizes[i], sizes[j]
-            p = p_in if i == j else p_out
-            draw = edge_rng.random((ni, nj))
-            if i == j:
-                hits = np.argwhere(np.triu(draw < p, 1))
-            else:
-                hits = np.argwhere(draw < p)
-            if len(hits):
-                hits = hits + np.array([offsets[i], offsets[j]])
-                pair_blocks.append(hits)
-    edges = np.vstack(pair_blocks) if pair_blocks else np.empty((0, 2), dtype=np.int64)
+    edges = _sbm_edges(sizes, p_in, p_out, component_rng(seed, "sbm-edges"))
 
     mean_rng = component_rng(seed, "sbm-means")
     radius = feature_shift / np.sqrt(2.0)

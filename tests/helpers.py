@@ -97,6 +97,23 @@ def random_edges(num_nodes: int, p: float, rng: np.random.Generator) -> np.ndarr
     return np.argwhere(mask).astype(np.int64)
 
 
+def oracle_sbm_edges(sizes, p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
+    """The planted-partition edges of one dense ``ni x nj`` draw per block pair.
+
+    Block pairs (i, j), i <= j, in order; a diagonal pair keeps its strict
+    upper triangle. This is the stream `generate_sbm` must reproduce.
+    """
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for i in range(len(sizes)):
+        for j in range(i, len(sizes)):
+            hit = rng.random((sizes[i], sizes[j])) < (p_in if i == j else p_out)
+            if i == j:
+                hit = np.triu(hit, 1)
+            found.append(np.argwhere(hit) + np.array([offsets[i], offsets[j]]))
+    return np.vstack(found)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient oracle
 # ---------------------------------------------------------------------------

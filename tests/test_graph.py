@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +23,12 @@ from temcgl.graph import (
     normalize_adjacency,
     save_graph_files,
 )
+from temcgl.rng import component_rng
 
 from helpers import (
     dense_adjacency,
     dense_normalized,
+    oracle_sbm_edges,
     path_edges,
     random_edges,
 )
@@ -355,6 +360,56 @@ def test_sbm_rejects_bad_params():
         generate_sbm((5, 5), p_in=1.5, p_out=0.1, feature_dim=2, feature_shift=1.0, seed=0)
     with pytest.raises(ValueError):
         generate_sbm((5, 0), p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=1.0, seed=0)
+    # non-integral sizes and widths are refused, not truncated or left to numpy
+    with pytest.raises(ValueError, match="block_sizes"):
+        generate_sbm((2.7, 3), p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=1.0, seed=0)
+    with pytest.raises(ValueError, match="feature_dim"):
+        generate_sbm((5, 5), p_in=0.5, p_out=0.1, feature_dim=2.5, feature_shift=1.0, seed=0)
+
+
+_SBM_CASES = [
+    # uneven and size-1 blocks; the second has 28 135 cells, enough for three
+    # workers of 4096-cell bands
+    ((5, 1, 13, 1, 8), 0.5, 0.2, 3),
+    ((100, 37, 1, 64), 0.1, 0.05, 8),
+    ((1,), 0.5, 0.5, 0),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("band", [1, 7, 4096])
+def test_sbm_edges_match_dense_draw(monkeypatch, band, cpus):
+    monkeypatch.setattr(graph_module, "SBM_BAND_CELLS", band)
+    monkeypatch.setattr(graph_module, "_cpu_count", lambda: cpus)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the worker threads as often as possible
+    try:
+        for sizes, p_in, p_out, seed in _SBM_CASES:
+            n = sum(sizes)
+            g = generate_sbm(sizes, p_in, p_out, feature_dim=2, feature_shift=1.0, seed=seed)
+            oracle = oracle_sbm_edges(sizes, p_in, p_out, component_rng(seed, "sbm-edges"))
+            dense = sp.csr_matrix(dense_adjacency(n, oracle))
+            np.testing.assert_array_equal(g.indptr, dense.indptr)
+            np.testing.assert_array_equal(g.indices, dense.indices)
+            # the edge list itself comes out in the dense draw's order
+            drawn = graph_module._sbm_edges(
+                list(sizes), p_in, p_out, component_rng(seed, "sbm-edges")
+            )
+            np.testing.assert_array_equal(drawn, oracle)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_sbm_extreme_probabilities_and_one_node():
+    sizes = (4, 1, 6)
+    empty = generate_sbm(sizes, p_in=0.0, p_out=0.0, feature_dim=2, feature_shift=1.0, seed=1)
+    assert empty.num_edges == 0
+    full = generate_sbm(sizes, p_in=1.0, p_out=1.0, feature_dim=2, feature_shift=1.0, seed=1)
+    assert full.num_edges == 11 * 10 // 2
+    single = generate_sbm((1,), p_in=1.0, p_out=1.0, feature_dim=3, feature_shift=1.0, seed=1)
+    assert single.num_nodes == 1 and single.num_edges == 0
+    assert single.features.shape == (1, 3)
+    assert single.labels.tolist() == [0] and single.split.tolist() == [TRAIN]
 
 
 # ---------------------------------------------------------------------------
