@@ -51,10 +51,8 @@ from .propagation import (
     PropagationStrategy,
     TEMatrix,
     compute_tes,
-    load_te_matrix,
     propagation_row,
     receptive_field,
-    save_te_matrix,
     subnetwork_te,
 )
 from .rng import component_rng
@@ -87,7 +85,6 @@ __all__ = [
     "load_buffer",
     "load_graph_files",
     "load_model",
-    "load_te_matrix",
     "loss_and_grad",
     "masked_accuracy",
     "mlp_forward",
@@ -100,7 +97,6 @@ __all__ = [
     "save_buffer",
     "save_graph_files",
     "save_model",
-    "save_te_matrix",
     "singleton_coverage_table",
     "subnetwork_te",
 ]

@@ -13,12 +13,13 @@ Four selection policies fill it:
 * ``centroid``         — per class, the candidates nearest the class-mean
                          embedding, round-robin over classes
 * ``coverage_max``     — the coverage-weighted sequential sampler
-* ``reservoir_stream`` — classic streaming reservoir, one pass, no totals
+* ``reservoir_stream`` — classic reservoir, one in-order pass over the
+                         task's candidates
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,19 +111,12 @@ def sample_nearest_centroid(
     return np.array(picks, dtype=np.int64)
 
 
-def _reservoir_slot(seen: int, n: int, rng: np.random.Generator) -> int:
-    """Slot of an n-slot reservoir taken by the item after `seen` others, or -1."""
-    if seen < n:
-        return seen
-    j = int(rng.integers(0, seen + 1))
-    return j if j < n else -1
-
-
 def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An n-slot reservoir filled by one in-order pass over `candidates`."""
     slots = np.empty(min(n, len(candidates)), dtype=np.int64)
     for seen, v in enumerate(candidates):
-        j = _reservoir_slot(seen, n, rng)
-        if j >= 0:
+        j = seen if seen < n else int(rng.integers(0, seen + 1))
+        if j < n:
             slots[j] = v
     return slots
 
@@ -130,13 +124,6 @@ def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 # the buffer itself
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StreamState:
-    task_id: int
-    seen: int = 0
-    slots: list[tuple[np.ndarray, int, int]] = field(default_factory=list)  # te, label, node_id
 
 
 class MemoryBuffer:
@@ -165,7 +152,6 @@ class MemoryBuffer:
         self.node_id = np.empty(0, dtype=np.int64)
         # A set, not the task_id column: a task may commit zero rows.
         self._tasks_seen: set[int] = set()
-        self._stream: _StreamState | None = None
 
     def __len__(self) -> int:
         return len(self.label)
@@ -173,14 +159,6 @@ class MemoryBuffer:
     @property
     def tasks_seen(self) -> set[int]:
         return set(self._tasks_seen)
-
-    def _check_width(self, width: int) -> None:
-        """Refuse a row that would not stack onto the rows already held."""
-        held = [self.te.shape[1]] if len(self) else []
-        if self._stream is not None and self._stream.slots:
-            held.append(self._stream.slots[0][0].size)
-        if any(w != width for w in held):
-            raise ValueError("buffer entries disagree on embedding dim")
 
     def _append(self, te, label, task_id, node_id) -> None:
         """Commit rows to all four columns at once."""
@@ -190,8 +168,6 @@ class MemoryBuffer:
         self.label = np.concatenate([self.label, label]).astype(np.int64, copy=False)
         self.task_id = np.concatenate([self.task_id, task_id]).astype(np.int64, copy=False)
         self.node_id = np.concatenate([self.node_id, node_id]).astype(np.int64, copy=False)
-
-    # -- batch update -------------------------------------------------------
 
     def update_tem(
         self,
@@ -210,8 +186,6 @@ class MemoryBuffer:
         """
         if self.budget is None:
             raise ValueError("buffer has no budget policy")
-        if self._stream is not None:
-            raise ValueError("cannot batch-update while a stream is open")
         if task_id in self._tasks_seen:
             raise ValueError(f"task {task_id} already committed to the buffer")
         candidates = np.asarray(candidates, dtype=np.int64)
@@ -221,7 +195,8 @@ class MemoryBuffer:
             raise ValueError("no candidates to sample from")
         if candidates.min() < 0 or candidates.max() >= tes.num_nodes:
             raise ValueError("candidate id out of range")
-        self._check_width(tes.dim)
+        if len(self) and self.te.shape[1] != tes.dim:
+            raise ValueError("buffer entries disagree on embedding dim")
         n = self.budget.resolve(len(candidates))
         if n > len(candidates):
             raise ValueError(f"budget {n} exceeds {len(candidates)} candidates")
@@ -234,7 +209,7 @@ class MemoryBuffer:
             selected = coverage_max_sample(
                 g, candidates, hops=self.coverage_hops, budget=n, rng=rng, universe=candidates
             )
-        else:  # reservoir_stream, replayed as a single in-order pass
+        else:  # reservoir_stream
             selected = _reservoir_pass(candidates, n, rng)
 
         self._append(
@@ -245,53 +220,6 @@ class MemoryBuffer:
         )
         self._tasks_seen.add(int(task_id))
         return selected
-
-    # -- streaming update ---------------------------------------------------
-
-    def stream_update(
-        self,
-        te: np.ndarray,
-        label: int,
-        node_id: int,
-        task_id: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """Offer one arriving node to the open reservoir for `task_id`."""
-        if self.sampler_id != "reservoir_stream":
-            raise ValueError("stream_update needs sampler_id='reservoir_stream'")
-        if self.budget is None or self.budget.count is None:
-            raise ValueError("streaming needs a count budget (totals are unknown)")
-        if self._stream is None:
-            if task_id in self._tasks_seen:
-                raise ValueError(f"task {task_id} already committed to the buffer")
-        elif self._stream.task_id != task_id:
-            raise ValueError(
-                f"stream for task {self._stream.task_id} is open; finalize it first"
-            )
-        row = np.array(te, dtype=np.float64).ravel()
-        self._check_width(row.size)
-        if self._stream is None:
-            self._stream = _StreamState(task_id=int(task_id))
-        state = self._stream
-        j = _reservoir_slot(state.seen, self.budget.count, rng)
-        if j == len(state.slots):
-            state.slots.append((row, int(label), int(node_id)))
-        elif j >= 0:
-            state.slots[j] = (row, int(label), int(node_id))
-        state.seen += 1
-
-    def stream_finalize(self) -> np.ndarray:
-        """Commit the open stream's survivors; returns their node ids."""
-        if self._stream is None:
-            raise ValueError("no stream is open")
-        state = self._stream
-        kept = np.array([node for _, _, node in state.slots], dtype=np.int64)
-        if state.slots:
-            te, label, _ = zip(*state.slots)
-            self._append(np.stack(te), np.array(label), np.full(len(kept), state.task_id), kept)
-        self._tasks_seen.add(state.task_id)
-        self._stream = None
-        return kept
 
     def footprint_bytes(self) -> int:
         """Exact size of the serialised buffer, counted without serialising it."""

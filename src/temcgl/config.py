@@ -436,10 +436,6 @@ def load_dataset(dataset: DatasetConfig, run_seed: int) -> Graph:
     return load_graph_files(dataset.edges, dataset.features, dataset.labels, dataset.split)
 
 
-def _load_for_seed(dataset: DatasetConfig, seed: int) -> Graph:
-    return load_dataset(dataset, seed)
-
-
 def dataset_loader(dataset: DatasetConfig) -> Callable[[int], Graph]:
     """Picklable seed -> graph callable for study fan-out."""
-    return functools.partial(_load_for_seed, dataset)
+    return functools.partial(load_dataset, dataset)

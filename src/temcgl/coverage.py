@@ -37,11 +37,15 @@ def _universe_mask(g: Graph, universe: np.ndarray | None) -> np.ndarray:
 
 def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray | None = None) -> float:
     """Fraction of the universe inside the joint receptive field of `nodes`."""
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
     mask = _universe_mask(g, universe)
     total = int(mask.sum())
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size == 0:
         return 0.0
+    if nodes.min() < 0 or nodes.max() >= g.num_nodes:
+        raise ValueError("node id out of range")
     ball = bfs_ball(g.indptr, g.indices, nodes, hops)
     return float(mask[ball].sum() / total)
 
@@ -50,6 +54,8 @@ def singleton_coverage_table(
     g: Graph, candidates: np.ndarray, hops: int, universe: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-candidate coverage ratios, aligned with `candidates`."""
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
     mask = _universe_mask(g, universe)
     total = int(mask.sum())
     candidates = np.asarray(candidates, dtype=np.int64)
@@ -78,13 +84,9 @@ def coverage_max_sample(
     budget: int,
     rng: np.random.Generator,
     universe: np.ndarray | None = None,
-    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw `budget` distinct candidates, each with probability proportional
     to its singleton coverage among the not-yet-drawn ones.
-
-    Pass a precomputed `table` (from `singleton_coverage_table` with the
-    same universe) to skip the per-candidate BFS.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     if len(np.unique(candidates)) != len(candidates):
@@ -93,14 +95,7 @@ def coverage_max_sample(
         raise ValueError("budget must be >= 0")
     if budget > len(candidates):
         raise ValueError(f"budget {budget} exceeds {len(candidates)} candidates")
-    if table is None:
-        table = singleton_coverage_table(g, candidates, hops, universe)
-    elif len(table) != len(candidates):
-        raise ValueError("coverage table does not align with candidates")
-
-    weights = np.asarray(table, dtype=np.float64).copy()
-    if np.any(weights < 0):
-        raise ValueError("coverage weights must be non-negative")
+    weights = singleton_coverage_table(g, candidates, hops, universe)
     chosen = np.empty(budget, dtype=np.int64)
     alive = np.ones(len(candidates), dtype=bool)
     for k in range(budget):

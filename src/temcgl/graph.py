@@ -107,9 +107,6 @@ class Graph:
             shape=(self.num_nodes, self.num_nodes),
         )
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def split_nodes(self, code: int) -> np.ndarray:
         return np.flatnonzero(self.split == code)
 

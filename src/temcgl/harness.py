@@ -500,13 +500,9 @@ class StudyCell:
 
 def _study_unit(args) -> tuple[float, float]:
     # Module-level so process pools can pickle it.
-    dataset, base, sampler_id, fraction, seed = args
+    dataset, base, sampler_id, budget, seed = args
     cfg = dataclasses.replace(
-        base,
-        regime="replay",
-        sampler_id=sampler_id,
-        budget=BudgetPolicy(fraction=fraction),
-        seed=seed,
+        base, regime="replay", sampler_id=sampler_id, budget=budget, seed=seed
     )
     result = run_continual(dataset(seed), cfg)
     mean_cov = float(np.mean([s.coverage for s in result.buffer_stats]))
@@ -529,9 +525,10 @@ def run_sample_study(
     worker scheduling.
     """
     samplers = tuple(samplers)
-    fractions = tuple(float(f) for f in budget_fractions)
+    # built up front, so a bad fraction fails before any unit runs
+    budgets = tuple(BudgetPolicy(fraction=float(f)) for f in budget_fractions)
     seeds = tuple(int(s) for s in seeds)
-    if not samplers or not fractions or not seeds:
+    if not samplers or not budgets or not seeds:
         raise ValueError("samplers, budget_fractions, and seeds must be non-empty")
     for s in samplers:
         if s not in SAMPLER_IDS:
@@ -539,9 +536,7 @@ def run_sample_study(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
 
-    units = [
-        (dataset, base, s, f, seed) for s in samplers for f in fractions for seed in seeds
-    ]
+    units = [(dataset, base, s, b, seed) for s in samplers for b in budgets for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_study_unit, units))
@@ -551,7 +546,7 @@ def run_sample_study(
     cells = []
     k = 0
     for s in samplers:
-        for f in fractions:
+        for b in budgets:
             chunk = outcomes[k : k + len(seeds)]
             k += len(seeds)
             aas = np.array([c[0] for c in chunk])
@@ -559,7 +554,7 @@ def run_sample_study(
             cells.append(
                 StudyCell(
                     sampler_id=s,
-                    budget_fraction=f,
+                    budget_fraction=b.fraction,
                     mean_aa=float(aas.mean()),
                     std_aa=float(aas.std()),
                     mean_coverage=float(covs.mean()),

@@ -19,9 +19,7 @@ embedding bit for bit — `subnetwork_te` is that recomputation path.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,9 +28,6 @@ from .rng import component_rng
 
 LINEAR_VARIANTS = ("power", "hop_average", "lazy_power")
 VARIANTS = LINEAR_VARIANTS + ("reservoir",)
-
-TE_MAGIC = b"TEMX"
-TE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -85,56 +80,12 @@ class PropagationStrategy:
         # (alpha * I for the linear blends, W_in * x_v for the reservoir).
         return self.variant == "power"
 
-    def descriptor(self) -> str:
-        parts = [self.variant, f"hops={self.hops}"]
-        if self.alpha is not None:
-            parts.append(f"alpha={self.alpha!r}")
-        if self.variant == "reservoir":
-            scale = "auto" if self.weight_scale is None else repr(self.weight_scale)
-            parts.append(f"hidden_dim={self.hidden_dim}")
-            parts.append(f"weight_scale={scale}")
-            parts.append(f"seed={self.seed}")
-        return " ".join(parts)
-
-    @classmethod
-    def from_descriptor(cls, text: str) -> "PropagationStrategy":
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty strategy descriptor")
-        variant = tokens[0]
-        kv: dict[str, str] = {}
-        for token in tokens[1:]:
-            key, sep, value = token.partition("=")
-            if not sep or key in kv:
-                raise ValueError(f"bad strategy descriptor {text!r}")
-            kv[key] = value
-        expected = {"hops"}
-        if variant in ("hop_average", "lazy_power"):
-            expected |= {"alpha"}
-        elif variant == "reservoir":
-            expected |= {"hidden_dim", "weight_scale", "seed"}
-        if set(kv) != expected:
-            raise ValueError(f"bad strategy descriptor {text!r}")
-        try:
-            scale = kv.get("weight_scale")
-            return cls(
-                variant=variant,
-                hops=int(kv["hops"]),
-                alpha=float(kv["alpha"]) if "alpha" in kv else None,
-                hidden_dim=int(kv["hidden_dim"]) if "hidden_dim" in kv else None,
-                weight_scale=None if scale in (None, "auto") else float(scale),
-                seed=int(kv.get("seed", 0)),
-            )
-        except ValueError as exc:
-            raise ValueError(f"bad strategy descriptor {text!r}: {exc}") from None
-
 
 @dataclass(frozen=True)
 class TEMatrix:
-    """One embedding row per node, plus the strategy that produced them."""
+    """One embedding row per node."""
 
     values: np.ndarray
-    strategy: PropagationStrategy
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -244,7 +195,7 @@ def compute_tes(adj: NormalizedAdjacency, features: np.ndarray, strategy: Propag
         values = _propagate_linear(adj, x, strategy)
     else:
         values = _propagate_reservoir(adj, x, strategy)
-    return TEMatrix(values=np.ascontiguousarray(values), strategy=strategy)
+    return TEMatrix(values=np.ascontiguousarray(values))
 
 
 def propagation_row(adj: NormalizedAdjacency, strategy: PropagationStrategy, v: int) -> np.ndarray:
@@ -293,38 +244,3 @@ def subnetwork_te(adj: NormalizedAdjacency, features: np.ndarray, strategy: Prop
     x = np.asarray(features, dtype=np.float64)[nodes]
     values = compute_tes(sub, x, strategy).values
     return values[int(np.searchsorted(nodes, v))]
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-_TE_HEADER = "<4sIQQI"  # magic, version, num_nodes, dim, descriptor length
-
-
-def save_te_matrix(tes: TEMatrix, path) -> None:
-    """Binary layout: header, UTF-8 strategy descriptor, row-major float64 LE."""
-    descriptor = tes.strategy.descriptor().encode("utf-8")
-    header = struct.pack(
-        _TE_HEADER, TE_MAGIC, TE_FORMAT_VERSION, tes.num_nodes, tes.dim, len(descriptor)
-    )
-    payload = tes.values.astype("<f8", copy=False).tobytes(order="C")
-    Path(path).write_bytes(header + descriptor + payload)
-
-
-def load_te_matrix(path) -> TEMatrix:
-    blob = Path(path).read_bytes()
-    head = struct.calcsize(_TE_HEADER)
-    if len(blob) < head:
-        raise ValueError(f"{path}: truncated embedding file")
-    magic, version, num_nodes, dim, desc_len = struct.unpack_from(_TE_HEADER, blob)
-    if magic != TE_MAGIC:
-        raise ValueError(f"{path}: not an embedding file (bad magic)")
-    if version != TE_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    body = head + desc_len
-    if len(blob) != body + num_nodes * dim * 8:
-        raise ValueError(f"{path}: payload size mismatch")
-    strategy = PropagationStrategy.from_descriptor(blob[head:body].decode("utf-8"))
-    values = np.frombuffer(blob[body:], dtype="<f8").reshape(num_nodes, dim)
-    return TEMatrix(values=values.astype(np.float64), strategy=strategy)

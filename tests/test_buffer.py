@@ -112,66 +112,20 @@ def test_nearest_centroid_handles_exhausted_classes():
 
 
 # ---------------------------------------------------------------------------
-# streaming reservoir
+# reservoir
 # ---------------------------------------------------------------------------
 
 
-def test_reservoir_stream_keeps_everything_under_budget():
-    buf = MemoryBuffer(BudgetPolicy(count=5), sampler_id="reservoir_stream")
-    rng = np.random.default_rng(0)
-    for i in range(3):
-        buf.stream_update(np.array([float(i)]), label=i, node_id=i, task_id=0, rng=rng)
-    kept = buf.stream_finalize()
-    assert kept.tolist() == [0, 1, 2]
-    assert len(buf) == 3
-
-
 def test_reservoir_stream_is_uniform():
+    g, tes = _toy_task(num_nodes=10)
     counts = np.zeros(10)
     for trial in range(2000):
         buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
         rng = np.random.default_rng(trial)
-        for i in range(10):
-            buf.stream_update(np.array([0.0]), label=0, node_id=i, task_id=0, rng=rng)
-        for node in buf.stream_finalize():
+        for node in buf.update_tem(g, tes, task_id=0, candidates=np.arange(10), rng=rng):
             counts[node] += 1
     freqs = counts / 2000
     np.testing.assert_allclose(freqs, 0.2, atol=0.04)
-
-
-@pytest.mark.parametrize("count", [0, 3, 12])
-def test_reservoir_stream_matches_batch_reservoir(count: int):
-    g, tes = _toy_task(seed=6)
-    for seed in range(20):
-        candidates = np.random.default_rng(100 + seed).permutation(g.num_nodes)
-        batch = MemoryBuffer(BudgetPolicy(count=count), sampler_id="reservoir_stream")
-        batch.update_tem(g, tes, task_id=0, candidates=candidates,
-                         rng=np.random.default_rng(seed))
-        stream = MemoryBuffer(BudgetPolicy(count=count), sampler_id="reservoir_stream")
-        rng = np.random.default_rng(seed)
-        for v in candidates:
-            stream.stream_update(tes.values[v], label=g.labels[v], node_id=v, task_id=0, rng=rng)
-        np.testing.assert_array_equal(stream.stream_finalize(), batch.node_id)
-        for name in ("te", "label", "task_id", "node_id"):
-            np.testing.assert_array_equal(getattr(stream, name), getattr(batch, name))
-        assert stream.tasks_seen == batch.tasks_seen == {0}
-
-
-def test_reservoir_stream_guards():
-    buf = MemoryBuffer(BudgetPolicy(fraction=0.5), sampler_id="reservoir_stream")
-    with pytest.raises(ValueError):  # fraction budgets cannot stream
-        buf.stream_update(np.zeros(1), label=0, node_id=0, task_id=0, rng=np.random.default_rng(0))
-
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
-    rng = np.random.default_rng(0)
-    buf.stream_update(np.zeros(1), label=0, node_id=0, task_id=0, rng=rng)
-    with pytest.raises(ValueError):  # one open stream at a time
-        buf.stream_update(np.zeros(1), label=0, node_id=1, task_id=1, rng=rng)
-    buf.stream_finalize()
-    with pytest.raises(ValueError):  # nothing open any more
-        buf.stream_finalize()
-    with pytest.raises(ValueError):  # a finished task cannot reopen
-        buf.stream_update(np.zeros(1), label=0, node_id=9, task_id=0, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +262,13 @@ def test_footprint_counts_empty_and_rejects_mixed_dims():
     g, tes = _toy_task(seed=5)
     buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
     before = serialize_buffer(buf)
-    wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)), tes.strategy)
+    wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)))
     # a row of another width is refused at commit time and leaves the buffer as it was
     with pytest.raises(ValueError, match="disagree on embedding dim"):
         buf.update_tem(g, wide, task_id=1, candidates=np.arange(4, 8),
                        rng=np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="disagree on embedding dim"):
-        buf.stream_update(np.zeros(tes.dim + 1), label=0, node_id=9, task_id=1, rng=rng)
-    with pytest.raises(ValueError):  # the refused row opened no stream
-        buf.stream_finalize()
     assert serialize_buffer(buf) == before and buf.tasks_seen == {0}
     assert buf.footprint_bytes() == len(before)
-
-    # inside an open stream, rows must match the stream's first row too
-    fresh = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
-    fresh.stream_update(np.zeros(3), label=0, node_id=0, task_id=0, rng=rng)
-    with pytest.raises(ValueError, match="disagree on embedding dim"):
-        fresh.stream_update(np.zeros(4), label=0, node_id=1, task_id=0, rng=rng)
-    assert fresh.stream_finalize().tolist() == [0]
-    assert fresh.te.shape == (1, 3)
 
 
 def test_zero_count_commit_still_refuses_the_task():

@@ -88,6 +88,17 @@ def test_singleton_table_rejects_out_of_range_candidates():
             singleton_coverage_table(g, np.array(bad), hops=1)
 
 
+def test_coverage_rejects_out_of_range_ids_and_negative_hops():
+    g = build_graph(4, path_edges(4))
+    for bad in ([-1], [0, 4]):
+        with pytest.raises(ValueError, match="node id out of range"):
+            coverage_ratio(g, np.array(bad), 1)
+    with pytest.raises(ValueError, match="hops must be >= 0"):
+        coverage_ratio(g, np.array([0]), hops=-1)
+    with pytest.raises(ValueError, match="hops must be >= 0"):
+        singleton_coverage_table(g, np.array([0]), hops=-1)
+
+
 def test_union_not_sum_when_fields_overlap():
     g = build_graph(5, path_edges(5))
     nodes = np.array([1, 3])
@@ -154,17 +165,6 @@ def test_coverage_max_sample_star_first_draw_distribution():
         first = coverage_max_sample(g, np.arange(7), hops=1, budget=1, rng=rng)[0]
         hits += first == 0
     assert hits / trials == pytest.approx(7 / 19, abs=0.02)
-
-
-def test_coverage_max_sample_accepts_precomputed_table():
-    g, _ = _three_disjoint_stars()
-    candidates = np.arange(50)
-    table = singleton_coverage_table(g, candidates, hops=1)
-    a = coverage_max_sample(g, candidates, hops=1, budget=5, rng=np.random.default_rng(9))
-    b = coverage_max_sample(
-        g, candidates, hops=1, budget=5, rng=np.random.default_rng(9), table=table
-    )
-    np.testing.assert_array_equal(a, b)
 
 
 def test_coverage_max_sample_rejects_degenerate_inputs():

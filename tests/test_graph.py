@@ -51,7 +51,6 @@ def test_build_graph_defaults():
     assert g.labels.tolist() == [0, 0, 0]
     assert np.all(g.split == TRAIN)
     assert g.num_classes == 1
-    assert g.neighbors(1).tolist() == [0, 2]
 
 
 def test_graph_rejects_malformed_arrays():

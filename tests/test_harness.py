@@ -380,3 +380,17 @@ def test_run_sample_study_parallel_matches_serial():
         _study_dataset, base, samplers=("uniform",), budget_fractions=(0.2,), seeds=(0, 1), jobs=2
     )
     assert serial == parallel
+
+
+def test_run_sample_study_rejects_bad_fraction_before_any_run():
+    calls = []
+
+    def dataset(seed: int):
+        calls.append(seed)
+        return _study_dataset(seed)
+
+    with pytest.raises(ValueError, match="fraction"):
+        run_sample_study(
+            dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.1, 1.5), seeds=(0, 1, 2)
+        )
+    assert calls == []

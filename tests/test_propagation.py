@@ -12,11 +12,9 @@ from temcgl.propagation import (
     PropagationStrategy,
     TEMatrix,
     compute_tes,
-    load_te_matrix,
     propagation_row,
     receptive_field,
     reservoir_weights,
-    save_te_matrix,
     subnetwork_te,
 )
 
@@ -66,22 +64,6 @@ def test_strategy_default_self_loops():
     assert PropagationStrategy("hop_average", 2, alpha=0.1).default_self_loops is False
     assert PropagationStrategy("lazy_power", 2, alpha=0.1).default_self_loops is False
     assert PropagationStrategy("reservoir", 2, hidden_dim=4).default_self_loops is False
-
-
-def test_strategy_descriptor_round_trip():
-    cases = [
-        PropagationStrategy("power", 3),
-        PropagationStrategy("hop_average", 2, alpha=0.1),
-        PropagationStrategy("lazy_power", 4, alpha=0.25),
-        PropagationStrategy("reservoir", 2, hidden_dim=16, seed=9),
-        PropagationStrategy("reservoir", 1, hidden_dim=8, weight_scale=0.5, seed=3),
-    ]
-    for st_ in cases:
-        assert PropagationStrategy.from_descriptor(st_.descriptor()) == st_
-    with pytest.raises(ValueError):
-        PropagationStrategy.from_descriptor("power hops=two")
-    with pytest.raises(ValueError):
-        PropagationStrategy.from_descriptor("power hops=2 bogus=1")
 
 
 # ---------------------------------------------------------------------------
@@ -293,32 +275,9 @@ def test_subnetwork_te_close_for_reservoir():
 # ---------------------------------------------------------------------------
 
 
-def test_te_matrix_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    g = build_graph(9, random_edges(9, 0.4, rng), features=rng.standard_normal((9, 4)))
-    adj = normalize_adjacency(g, self_loops=True)
-    tes = compute_tes(adj, g.features, PropagationStrategy("power", 2))
-    path = tmp_path / "te.bin"
-    save_te_matrix(tes, path)
-    back = load_te_matrix(path)
-    np.testing.assert_array_equal(back.values, tes.values)
-    assert back.strategy == tes.strategy
-
-    blob = bytearray(path.read_bytes())
-    blob[0] = ord("X")
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(ValueError):
-        load_te_matrix(bad)
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(ValueError):
-        load_te_matrix(trunc)
-
-
 def test_te_matrix_csv_export(tmp_path):
     values = np.array([[1.5, -2.25], [0.125, 3.0], [1 / 3, -1e-300]])
-    tes = TEMatrix(values=values, strategy=PropagationStrategy("power", 1))
+    tes = TEMatrix(values=values)
     path = tmp_path / "te.csv"
     write_embeddings(path, np.array([4, 7, 9]), np.array([0, 2, 1]), tes.values, "abc")
     lines = path.read_text().splitlines()
