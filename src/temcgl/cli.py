@@ -38,10 +38,10 @@ from .config import (
 from .buffer import save_buffer
 from .graph import build_graph, normalize_adjacency, save_graph_files
 from .harness import (
+    _embed_task,
     build_task_sequence,
     run_continual,
     run_sample_study,
-    visible_nodes,
     write_accuracy_matrix,
     write_buffer_stats,
     write_curves,
@@ -49,7 +49,7 @@ from .harness import (
     write_study_table,
 )
 from .model import load_model, mlp_hidden, pseudo_gradient_check, save_model
-from .propagation import PropagationStrategy, compute_tes
+from .propagation import PropagationStrategy
 from .rng import component_rng
 
 log = logging.getLogger("temcgl.cli")
@@ -203,12 +203,7 @@ def cmd_export_embeddings(args) -> int:
     if not 0 <= args.task < len(tasks):
         raise ConfigError(f"--task must be in 0..{len(tasks) - 1}, got {args.task}")
 
-    from .graph import induced_subgraph
-
-    visible = visible_nodes(g, tasks, args.task, cfg.run.inter_task_edges)
-    sub = induced_subgraph(g, visible)
-    adj = normalize_adjacency(sub, cfg.run.resolved_self_loops())
-    tes = compute_tes(adj, sub.features, cfg.run.strategy)
+    visible, _, tes = _embed_task(g, tasks, args.task, cfg.run)
     if args.layer == "embedding":
         mat = tes.values
     else:

@@ -11,7 +11,7 @@ across tasks and replay needs no stored neighbourhoods.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,7 +31,7 @@ from .model import (
     mlp_forward,
     replay_batch,
 )
-from .propagation import PropagationStrategy, compute_tes
+from .propagation import PropagationStrategy, TEMatrix, compute_tes
 from .rng import component_rng
 
 REGIMES = ("replay", "finetune", "joint")
@@ -170,13 +170,16 @@ def masked_accuracy(
     `allowed_classes` (which it checks and sorts once) is reused for the
     forward pass.
     """
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (len(x),):
+        raise ValueError("labels must be one per row")
     if workspace is None:
         workspace = _Workspace(params, x, classes=allowed_classes)
     workspace._check(params, classes=allowed_classes)
     logits = mlp_forward(params, x, workspace=workspace)
     allowed = workspace.classes
     pred = allowed[np.argmax(logits[:, allowed], axis=1)]
-    return float(np.mean(pred == np.asarray(y, dtype=np.int64)))
+    return float(np.mean(pred == y))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,25 @@ def _train_head(
     return best
 
 
+def _embed_task(
+    g: Graph, tasks: Sequence[TaskSpec], task_id: int, cfg: RunConfig
+) -> tuple[np.ndarray, Graph, TEMatrix]:
+    """The nodes visible at task `task_id`, their subgraph and its embeddings."""
+    visible = visible_nodes(g, tasks, task_id, cfg.inter_task_edges)
+    sub = induced_subgraph(g, visible)
+    adj = normalize_adjacency(sub, cfg.resolved_self_loops())
+    return visible, sub, compute_tes(adj, sub.features, cfg.strategy)
+
+
 def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
-    """Run one continual-learning pass over the task sequence of `g`."""
+    """Run one continual-learning pass over the task sequence of `g`.
+
+    The graph side of a task (subgraph, normalisation, propagation, buffer
+    selection and coverage) never reads the head, so it runs on the calling
+    thread while one worker thread trains and scores the previous task's
+    head. Each side makes the same calls in the same order as a sequential
+    loop, so every output is bit-identical to one.
+    """
     tasks = build_task_sequence(g, cfg.classes_per_task)
     num_classes = int(g.labels.max()) + 1
     te_dim = (
@@ -318,7 +338,6 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     buffer = MemoryBuffer(
         cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
     )
-    self_loops = cfg.resolved_self_loops()
 
     # Embeddings used at evaluation time, aligned with global node ids. Under
     # "keep_seen" each task refreshes every visible row; under "drop_all" a
@@ -331,39 +350,15 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     aa: list[float] = []
     af: list[float | None] = []
 
-    for task in tasks:
-        visible = visible_nodes(g, tasks, task.task_id, cfg.inter_task_edges)
-        sub = induced_subgraph(g, visible)
-        adj = normalize_adjacency(sub, self_loops)
-        tes = compute_tes(adj, sub.features, cfg.strategy)
-        eval_te[visible] = tes.values
-
-        local_train = np.searchsorted(visible, task.train_nodes)
-        local_valid = np.searchsorted(visible, task.valid_nodes)
-        seen = tasks[: task.task_id + 1]
-        seen_classes = np.concatenate([t.classes for t in seen])
-
+    def fit_and_score(task, seen_classes, x, y, w, valid_x, valid_y) -> None:
+        # The worker's side: only it touches the head, the optimiser and the
+        # metrics, and it reads eval_te while the calling thread leaves it be.
+        nonlocal params
         if cfg.regime == "joint":
             # Reference upper bound: retrain from scratch on everything seen.
             params = init_mlp(
                 layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}")
             )
-            train_nodes = np.concatenate([t.train_nodes for t in seen])
-            valid_nodes = np.concatenate([t.valid_nodes for t in seen])
-            x, y = eval_te[train_nodes], g.labels[train_nodes]
-            w = class_balance_weights(y) if cfg.class_balance else None
-            valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
-        else:
-            x, y, w = replay_batch(
-                tes.values[local_train],
-                sub.labels[local_train],
-                buffer.te,
-                buffer.label,
-                cfg.replay_lambda,
-                cfg.class_balance,
-            )
-            valid_x, valid_y = tes.values[local_valid], sub.labels[local_valid]
-
         # Model selection scores the validation nodes over every class seen
         # so far, regardless of scenario. A within-task mask saturates while
         # the new classes' logits still trail the old ones, which would
@@ -373,24 +368,6 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
             params, optimizer, x, y, w, valid_x, valid_y, seen_classes,
             cfg.epochs, cfg.patience,
         )
-
-        if cfg.regime == "replay":
-            selected = buffer.update_tem(
-                sub,
-                tes,
-                task.task_id,
-                local_train,
-                component_rng(cfg.seed, f"sampler-task-{task.task_id}"),
-                node_ids=visible,
-            )
-            cov = coverage_ratio(
-                sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train
-            )
-            stats.append(
-                BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
-            )
-        else:
-            stats.append(BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0))
 
         for prev in tasks[: task.task_id + 1]:
             allowed_eval = (
@@ -404,6 +381,61 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
         aa.append(matrix.average_accuracy(task.task_id))
         af.append(matrix.average_forgetting(task.task_id))
         params_per_task.append(params.copy())
+
+    head = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for task in tasks:
+            try:
+                visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
+                local_train = np.searchsorted(visible, task.train_nodes)
+                seen = tasks[: task.task_id + 1]
+                seen_classes = np.concatenate([t.classes for t in seen])
+
+                if cfg.regime != "joint":
+                    # Reads the buffer before this task commits to it.
+                    x, y, w = replay_batch(
+                        tes.values[local_train],
+                        sub.labels[local_train],
+                        buffer.te,
+                        buffer.label,
+                        cfg.replay_lambda,
+                        cfg.class_balance,
+                    )
+                    local_valid = np.searchsorted(visible, task.valid_nodes)
+                    valid_x, valid_y = tes.values[local_valid], sub.labels[local_valid]
+
+                if cfg.regime == "replay":
+                    selected = buffer.update_tem(
+                        sub,
+                        tes,
+                        task.task_id,
+                        local_train,
+                        component_rng(cfg.seed, f"sampler-task-{task.task_id}"),
+                        node_ids=visible,
+                    )
+                    cov = coverage_ratio(
+                        sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train
+                    )
+                    stats.append(
+                        BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
+                    )
+                else:
+                    stats.append(BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0))
+            finally:
+                # The previous task's head reads eval_te, and its error, if
+                # any, comes before this task's, as in a sequential loop.
+                if head is not None:
+                    head.result()
+
+            eval_te[visible] = tes.values
+            if cfg.regime == "joint":
+                train_nodes = np.concatenate([t.train_nodes for t in seen])
+                valid_nodes = np.concatenate([t.valid_nodes for t in seen])
+                x, y = eval_te[train_nodes], g.labels[train_nodes]
+                w = class_balance_weights(y) if cfg.class_balance else None
+                valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
+            head = pool.submit(fit_and_score, task, seen_classes, x, y, w, valid_x, valid_y)
+        head.result()
 
     return RunResult(matrix, aa, af, stats, params_per_task, buffer, tasks)
 

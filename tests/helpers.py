@@ -3,11 +3,35 @@
 Everything here deliberately avoids the package's own code paths: dense
 matrices instead of CSR, python sets instead of frontier arrays, finite
 differences instead of backprop. The package must agree with these, not
-the other way around.
+the other way around. The sequential run oracle at the end is the one
+exception: it strings the package's own steps together in a single thread.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from temcgl import harness
+from temcgl.buffer import MemoryBuffer
+from temcgl.coverage import coverage_ratio
+from temcgl.graph import Graph, induced_subgraph, normalize_adjacency
+from temcgl.harness import (
+    AccuracyMatrix,
+    BufferStat,
+    RunConfig,
+    RunResult,
+    build_task_sequence,
+    masked_accuracy,
+    visible_nodes,
+)
+from temcgl.model import (
+    MlpParams,
+    class_balance_weights,
+    init_mlp,
+    make_optimizer,
+    replay_batch,
+)
+from temcgl.propagation import compute_tes
+from temcgl.rng import component_rng
 
 # ---------------------------------------------------------------------------
 # dense graph oracles
@@ -272,3 +296,120 @@ def oracle_train_head(weights, biases, optimizer, x, y, w, valid_x, valid_y, all
         elif epoch - best_epoch >= patience:
             break
     return best
+
+
+# ---------------------------------------------------------------------------
+# sequential run oracle
+# ---------------------------------------------------------------------------
+# The continual run as a single thread performs it. What it leaves out is the
+# overlap of one task's graph side with the previous task's head.
+
+
+def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
+    """`run_continual` as one sequential loop: each task's graph side, then
+    its head, then the next task.
+
+    `_train_head` is looked up on the harness module, so a test's
+    monkeypatch reaches this loop as well as the package's.
+    """
+    tasks = build_task_sequence(g, cfg.classes_per_task)
+    num_classes = int(g.labels.max()) + 1
+    te_dim = (
+        cfg.strategy.hidden_dim
+        if cfg.strategy.variant == "reservoir"
+        else g.features.shape[1]
+    )
+    layer_dims = [te_dim, *cfg.hidden_dims, num_classes]
+    params = init_mlp(layer_dims, component_rng(cfg.seed, "model-init"))
+    buffer = MemoryBuffer(
+        cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
+    )
+    self_loops = cfg.resolved_self_loops()
+
+    # Embeddings used at evaluation time, aligned with global node ids. Under
+    # "keep_seen" each task refreshes every visible row; under "drop_all" a
+    # row keeps the value computed when its task was current.
+    eval_te = np.zeros((g.num_nodes, te_dim))
+
+    matrix = AccuracyMatrix.empty(len(tasks))
+    stats: list[BufferStat] = []
+    params_per_task: list[MlpParams] = []
+    aa: list[float] = []
+    af: list[float | None] = []
+
+    for task in tasks:
+        visible = visible_nodes(g, tasks, task.task_id, cfg.inter_task_edges)
+        sub = induced_subgraph(g, visible)
+        adj = normalize_adjacency(sub, self_loops)
+        tes = compute_tes(adj, sub.features, cfg.strategy)
+        eval_te[visible] = tes.values
+
+        local_train = np.searchsorted(visible, task.train_nodes)
+        local_valid = np.searchsorted(visible, task.valid_nodes)
+        seen = tasks[: task.task_id + 1]
+        seen_classes = np.concatenate([t.classes for t in seen])
+
+        if cfg.regime == "joint":
+            # Reference upper bound: retrain from scratch on everything seen.
+            params = init_mlp(
+                layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}")
+            )
+            train_nodes = np.concatenate([t.train_nodes for t in seen])
+            valid_nodes = np.concatenate([t.valid_nodes for t in seen])
+            x, y = eval_te[train_nodes], g.labels[train_nodes]
+            w = class_balance_weights(y) if cfg.class_balance else None
+            valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
+        else:
+            x, y, w = replay_batch(
+                tes.values[local_train],
+                sub.labels[local_train],
+                buffer.te,
+                buffer.label,
+                cfg.replay_lambda,
+                cfg.class_balance,
+            )
+            valid_x, valid_y = tes.values[local_valid], sub.labels[local_valid]
+
+        # Model selection scores the validation nodes over every class seen
+        # so far, regardless of scenario. A within-task mask saturates while
+        # the new classes' logits still trail the old ones, which would
+        # freeze the head at a snapshot taken before any real learning.
+        optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+        params = harness._train_head(
+            params, optimizer, x, y, w, valid_x, valid_y, seen_classes,
+            cfg.epochs, cfg.patience,
+        )
+
+        if cfg.regime == "replay":
+            selected = buffer.update_tem(
+                sub,
+                tes,
+                task.task_id,
+                local_train,
+                component_rng(cfg.seed, f"sampler-task-{task.task_id}"),
+                node_ids=visible,
+            )
+            cov = coverage_ratio(
+                sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train
+            )
+            stats.append(
+                BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
+            )
+        else:
+            stats.append(BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0))
+
+        for prev in tasks[: task.task_id + 1]:
+            allowed_eval = (
+                np.asarray(prev.classes) if cfg.scenario == "task_il" else seen_classes
+            )
+            acc = masked_accuracy(
+                params, eval_te[prev.test_nodes], g.labels[prev.test_nodes], allowed_eval
+            )
+            matrix.record(task.task_id, prev.task_id, acc)
+
+        aa.append(matrix.average_accuracy(task.task_id))
+        af.append(matrix.average_forgetting(task.task_id))
+        params_per_task.append(params.copy())
+
+    return RunResult(matrix, aa, af, stats, params_per_task, buffer, tasks)
+

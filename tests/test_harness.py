@@ -161,6 +161,14 @@ def test_masked_accuracy_restricts_the_argmax():
     assert masked_accuracy(params, x, np.array([2]), np.array([0, 2])) == 0.0
 
 
+@pytest.mark.parametrize("labels", [[1], [[0], [1], [2], [1], [0]]], ids=["short", "column"])
+def test_masked_accuracy_rejects_labels_not_one_per_row(labels):
+    params = MlpParams(weights=[np.eye(3)], biases=[np.zeros(3)])
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(ValueError, match="labels must be one per row"):
+        masked_accuracy(params, x, np.array(labels), np.arange(3))
+
+
 def test_masked_accuracy_random_logits_hit_chance_level():
     rng = np.random.default_rng(0)
     params = MlpParams(weights=[np.eye(4)], biases=[np.zeros(4)])
