@@ -12,15 +12,23 @@ The `run/...` cases cover every propagation variant under every sampler
 (replay), finetune and joint, each with both inter-task edge policies. One
 digest spans the accuracy matrix, the `serialize_buffer` bytes, every
 checkpointed weight and bias, and the buffer statistics.
+
+The `config/...` cases pin `config_hash`, the SHA-256 of the canonical text
+`serialize_config` writes for a parsed config: every propagation variant,
+both dataset kinds, each optional section absent and fully set, both budget
+forms and both study seed forms, the README's quick-start config, and one
+digest over the canonical texts of the whole grid of those sections.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from temcgl.buffer import SAMPLER_IDS, BudgetPolicy, serialize_buffer
+from temcgl.config import config_hash, parse_config, serialize_config
 from temcgl.coverage import singleton_coverage_table
 from temcgl.graph import generate_sbm, induced_subgraph, normalize_adjacency
 from temcgl.harness import EDGE_POLICIES, RunConfig, RunResult, run_continual
@@ -139,6 +147,130 @@ def _golden_arrays() -> dict[str, tuple[np.ndarray, ...]]:
     return out
 
 
+_DATASET_INI = {
+    "sbm": """[dataset]
+kind = sbm
+block_sizes = 20, 20, 20
+p_in = 0.3
+p_out = 0.02
+feature_dim = 6
+feature_shift = 3.0
+""",
+    "sbm-seed": """[dataset]
+kind = sbm
+block_sizes = 12, 30
+p_in = 0.25
+p_out = 5e-2
+feature_dim = 4
+feature_shift = 1.5
+seed = 9
+""",
+    "files": """[dataset]
+kind = files
+edges = data/edges.txt
+features = data/features.txt
+labels = data/labels.txt
+split = data/split.txt
+""",
+}
+_PROPAGATION_INI = {
+    "power": "[propagation]\nvariant = power\nhops = 2\n",
+    "hop_average": "[propagation]\nvariant = hop_average\nhops = 2\nalpha = 0.25\nself_loops = on\n",
+    "lazy_power": "[propagation]\nvariant = lazy_power\nhops = 3\nalpha = 0.1\nself_loops = off\n",
+    "reservoir-auto": (
+        "[propagation]\nvariant = reservoir\nhops = 2\nhidden_dim = 12\nweight_scale = auto\nseed = 5\n"
+    ),
+    "reservoir-scale": "[propagation]\nvariant = reservoir\nhops = 1\nhidden_dim = 7\nweight_scale = 0.35\n",
+}
+_MODEL_INI = """[model]
+hidden_dims = 32 , 16,
+optimizer = sgd
+lr = 1e-3
+replay_lambda = .5
+class_balance = No
+"""
+_BUFFER_INI = {
+    "count": "[buffer]\nsampler = uniform\nbudget_count = 7\ncoverage_hops = 3\n",
+    "fraction": "[buffer]\nsampler = centroid\nbudget_fraction = 0.25\n",
+}
+_RUN_INI = """[run]
+seed = 4
+scenario = task_il
+regime = finetune
+classes_per_task = 3
+epochs = 40
+patience = 6
+inter_task_edges = drop_all
+out = runs/golden
+"""
+_STUDY_INI = {
+    "seeds": "[study]\nsamplers = uniform, coverage_max\nbudget_fractions = 0.05, 0.1\nseeds = 3, 1\n",
+    "num_seeds": "[study]\nsamplers = centroid\nbudget_fractions = 0.2\nnum_seeds = 4\n",
+}
+# the quick-start config of README.md
+_README_QUICK_START = """[dataset]
+kind = sbm
+block_sizes = 60, 60, 60, 60, 60, 60
+p_in = 0.2
+p_out = 0.01
+feature_dim = 8
+feature_shift = 4.0
+
+[propagation]
+variant = power
+hops = 2
+
+[model]
+hidden_dims = 64
+lr = 0.05
+
+[buffer]
+sampler = coverage_max
+budget_fraction = 0.1
+
+[run]
+seed = 0
+classes_per_task = 2
+epochs = 100
+patience = 100
+"""
+_CONFIG_CASES = {
+    "power": ("sbm", "power"),
+    "hop_average": ("sbm-seed", "hop_average", _MODEL_INI, "count", _RUN_INI),
+    "lazy_power": ("sbm", "lazy_power", "fraction"),
+    "reservoir-auto": ("sbm-seed", "reservoir-auto", _MODEL_INI),
+    "reservoir-scale": ("files", "reservoir-scale", _RUN_INI),
+    "files": ("files", "power"),
+    "study-seeds": ("sbm", "power", "seeds"),
+    "study-num_seeds": ("sbm-seed", "hop_average", "fraction", "num_seeds"),
+}
+
+
+def _config_text(*parts: str) -> str:
+    """Join INI sections, each given as text or by its name in the tables above."""
+    named = {**_DATASET_INI, **_PROPAGATION_INI, **_BUFFER_INI, **_STUDY_INI}
+    return "\n".join(named.get(part, part) for part in parts)
+
+
+def _config_digests() -> dict[str, str]:
+    out = {
+        f"config/{name}": config_hash(parse_config(_config_text(*parts)))
+        for name, parts in _CONFIG_CASES.items()
+    }
+    out["config/readme-quick-start"] = config_hash(parse_config(_README_QUICK_START))
+    grid = itertools.product(
+        _DATASET_INI,
+        _PROPAGATION_INI,
+        ("", _MODEL_INI),
+        ("", *_BUFFER_INI),
+        ("", _RUN_INI),
+        ("", *_STUDY_INI),
+    )
+    texts = [serialize_config(parse_config(_config_text(*parts))) for parts in grid]
+    out["config/grid"] = hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()
+    return out
+
+
 GOLDEN = {
     "sbm/four-equal": "531124158cf6953ce7750c10b54de9f4ef7afae7bde2f6f521957694142f3ae7",
     "normalize/four-equal/True": "bfe2fc879cac80ebe1741e0b06b60dd710984188de780d3d7a2c2368b78bc5cb",
@@ -206,12 +338,22 @@ GOLDEN = {
     "run/reservoir/finetune/drop_all": "11aadce32a736856a027286af09b087c32b60121fbd83bc1d5cf0e2423b4806a",
     "run/reservoir/joint/keep_seen": "87ae221d3270117b56d6508cb8ad1d21b3750ac626c1193456fc69a4ff9319dd",
     "run/reservoir/joint/drop_all": "dfd02394569e195f429e63407acd2377b38ba8c99696176936a39ad98bbcf5e0",
+    "config/power": "bbfd6d4df58964e12cd83b0b66497e2c98973b56804aa11966591b8c1d454417",
+    "config/hop_average": "21d5784e8aeed5ec2cbf1acf124b00649742ddbd26a6f271ba6583f2f01569b2",
+    "config/lazy_power": "59c214e86c17ac81d923115b0e0965a2d61ea9fe54e5866d4de476c169ae62da",
+    "config/reservoir-auto": "2b0d0d070d5b4243f736b12e69a16cb84ca35e946f5c6ee15f0d82dc1f7fed81",
+    "config/reservoir-scale": "320e0d664e0df9a601313a6409484bc5a2e2e0d27150d95347b7fbb5b1363f14",
+    "config/files": "30690bef4928f0463b3745e01ff172729548e8d025d2984edda6ee92446daa40",
+    "config/study-seeds": "329b68afff6d8662ce35634dd9d1560b92a4c5c2b5fbf39ab5ea7aad8e4769b5",
+    "config/study-num_seeds": "6a1a660f4203a6759abf2f4d0d63103b988bedee48e277d158e439d578c3b10d",
+    "config/readme-quick-start": "81dee34dddabb25ce98c8c37f3dae680ef2e3041fe304e16e583a30fcf69444c",
+    "config/grid": "3d386d0f906d4e9f56bcb515c80b43b25e2255826b569b3aa8eaf87e2ef66a3b",
 }
 
 
 @pytest.fixture(scope="module")
 def produced() -> dict[str, str]:
-    return {k: _digest(*v) for k, v in _golden_arrays().items()}
+    return {**{k: _digest(*v) for k, v in _golden_arrays().items()}, **_config_digests()}
 
 
 def test_golden_cases_are_all_pinned(produced):
