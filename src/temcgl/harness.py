@@ -225,10 +225,14 @@ class RunConfig:
             raise ValueError("hidden layer widths must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.epochs < 1 or self.patience < 1:
             raise ValueError("epochs and patience must be >= 1")
+        if not np.isfinite(self.replay_lambda):
+            raise ValueError(f"replay_lambda must be finite, got {self.replay_lambda}")
         if self.replay_lambda < 0:
             raise ValueError("replay_lambda must be >= 0")
         if self.coverage_hops is not None and self.coverage_hops < 1:

@@ -247,6 +247,8 @@ def replay_batch(
     rescaling the loss by class size); `replay_lambda` then multiplies the
     buffered rows only.
     """
+    if not np.isfinite(replay_lambda):
+        raise ValueError(f"replay_lambda must be finite, got {replay_lambda}")
     if replay_lambda < 0:
         raise ValueError("replay_lambda must be >= 0")
     current_x = np.asarray(current_x, dtype=np.float64)
@@ -315,6 +317,8 @@ class AdamOptimizer:
 
 
 def make_optimizer(name: str, lr: float):
+    if not np.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     if name == "sgd":

@@ -62,8 +62,11 @@ class PropagationStrategy:
         if self.variant == "reservoir":
             if self.hidden_dim is None or self.hidden_dim < 1:
                 raise ValueError("reservoir needs hidden_dim >= 1")
-            if self.weight_scale is not None and self.weight_scale <= 0:
-                raise ValueError("weight_scale must be positive")
+            if self.weight_scale is not None:
+                if not np.isfinite(self.weight_scale):
+                    raise ValueError(f"weight_scale must be finite, got {self.weight_scale}")
+                if self.weight_scale <= 0:
+                    raise ValueError("weight_scale must be positive")
         else:
             if self.hidden_dim is not None or self.weight_scale is not None:
                 raise ValueError(f"{self.variant} takes no reservoir parameters")

@@ -16,6 +16,8 @@ import temcgl
 from temcgl.buffer import BudgetPolicy
 from temcgl.cli import main
 from temcgl.config import (
+    _DATASET_TABLES,
+    _TABLES,
     ConfigError,
     config_hash,
     dataset_loader,
@@ -26,6 +28,7 @@ from temcgl.config import (
     write_manifest,
 )
 from temcgl.graph import generate_sbm, load_graph_files, normalize_adjacency
+from temcgl.harness import RunConfig
 from temcgl.propagation import compute_tes
 
 RUN_INI = """
@@ -106,6 +109,8 @@ def test_parse_minimal_config_applies_defaults():
     assert cfg.run.self_loops == "auto"
     assert cfg.out is None
     assert cfg.study is None
+    # every default comes from the dataclasses, none from the parser
+    assert cfg.run == RunConfig(strategy=cfg.run.strategy)
 
 
 def test_parse_serialize_round_trip():
@@ -150,6 +155,31 @@ def test_required_sections_and_values():
         parse_config(MINIMAL_INI.replace("kind = sbm", "kind = parquet"))
     with pytest.raises(ConfigError, match="block_sizes"):
         parse_config(MINIMAL_INI.replace("block_sizes = 10, 10\n", ""))
+    with pytest.raises(ConfigError, match="^lr must be finite"):
+        parse_config(RUN_INI.replace("lr = 0.05", "lr = nan"))
+    # a key the variant does not take is refused even at its default value,
+    # which would otherwise vanish from the canonical text and its hash
+    power = "variant = power\nhops = 2\n"
+    for key, value in (("weight_scale", "auto"), ("seed", "0")):
+        with pytest.raises(ConfigError, match=rf"^\[propagation\] power takes no {key}$"):
+            parse_config(RUN_INI.replace(power, f"{power}{key} = {value}\n"))
+
+
+def test_readme_config_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in reference.splitlines():
+        if line.startswith("| `["):
+            section, key, kind, default, _ = (c.strip() for c in line.strip("|").split("|"))
+            rows[(section.strip("`"), key.strip("`"))] = (kind, default == "required")
+    tables = [("dataset", t) for t in _DATASET_TABLES.values()] + list(_TABLES.items())
+    parsed = {
+        (f"[{name}]", key): (kind, required)
+        for name, table in tables
+        for key, kind, required in table
+    }
+    assert rows == parsed
 
 
 def test_budget_keys_are_exclusive():

@@ -299,6 +299,14 @@ def test_run_config_validation():
         _cfg(sampler_id="nope")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["lr", "replay_lambda"])
+def test_run_config_rejects_non_finite_numbers(field, value):
+    # a non-finite rate or replay weight would train to NaN parameters
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        _cfg(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # CSV writers
 # ---------------------------------------------------------------------------

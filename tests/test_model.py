@@ -180,6 +180,13 @@ def test_replay_batch_composition():
     assert x3.shape == (2, 3) and w3.tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_replay_batch_rejects_non_finite_lambda(value):
+    cur_x, cur_y = np.zeros((2, 3)), np.array([0, 1])
+    with pytest.raises(ValueError, match="^replay_lambda must be finite"):
+        replay_batch(cur_x, cur_y, np.ones((1, 3)), np.array([1]), replay_lambda=value)
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
@@ -194,6 +201,13 @@ def test_sgd_step_is_exact():
     assert params.biases[0][0] == pytest.approx(2.1)
     with pytest.raises(ValueError):
         make_optimizer("rmsprop", lr=0.1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["sgd", "adam"])
+def test_make_optimizer_rejects_non_finite_lr(name, value):
+    with pytest.raises(ValueError, match="^lr must be finite"):
+        make_optimizer(name, value)
 
 
 def test_adam_matches_scalar_reference():

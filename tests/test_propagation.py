@@ -59,6 +59,13 @@ def test_strategy_validation():
         PropagationStrategy(variant="reservoir", hops=2, hidden_dim=8, weight_scale=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_strategy_rejects_non_finite_weight_scale(value):
+    # caught here, not later as a non-finite embedding matrix
+    with pytest.raises(ValueError, match="^weight_scale must be finite"):
+        PropagationStrategy("reservoir", 2, hidden_dim=8, weight_scale=value)
+
+
 def test_strategy_default_self_loops():
     assert PropagationStrategy("power", 2).default_self_loops is True
     assert PropagationStrategy("hop_average", 2, alpha=0.1).default_self_loops is False
