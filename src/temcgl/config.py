@@ -181,6 +181,14 @@ def _read(section: str, options: dict[str, str], table) -> dict:
     }
 
 
+def _build(cls, prefix: str, **kwargs):
+    """`cls(**kwargs)`, its ValueError raised again as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sections = _sections(text)
     for required in ("dataset", "propagation"):
@@ -199,10 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
     run_args = {}
     if "self_loops" in strategy_args:  # a RunConfig field
         run_args["self_loops"] = strategy_args.pop("self_loops")
-    try:
-        strategy = PropagationStrategy(**strategy_args)
-    except ValueError as exc:
-        raise ConfigError(f"[propagation] {exc}") from None
+    strategy = _build(PropagationStrategy, "[propagation] ", **strategy_args)
     # The strategy refuses a key its variant does not take only when the key
     # holds a value other than the default, so check the keys as written.
     taken = ("variant", "hops", "self_loops", *_VARIANT_KEYS[strategy.variant])
@@ -220,14 +225,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if count is not None and fraction is not None:
         raise ConfigError("[buffer] budget_count and budget_fraction are mutually exclusive")
     if count is not None or fraction is not None:
-        try:
-            run_args["budget"] = BudgetPolicy(count=count, fraction=fraction)
-        except ValueError as exc:
-            raise ConfigError(f"[buffer] {exc}") from None
-    try:
-        run = RunConfig(strategy=strategy, **run_args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        run_args["budget"] = _build(BudgetPolicy, "[buffer] ", count=count, fraction=fraction)
+    run = _build(RunConfig, "", strategy=strategy, **run_args)
 
     study = None
     if "study" in sections:
@@ -255,11 +254,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _format(kind: str, value) -> str:
-    if isinstance(value, str):  # str keys, and weight_scale = auto
-        return value
     if kind.endswith(" list"):
         return ", ".join(_format(kind.removesuffix(" list"), v) for v in value)
-    if kind == "float":
+    if kind == "float" and value != "auto":  # weight_scale may read auto
         return repr(float(value))
     if kind == "bool":
         return "true" if value else "false"
@@ -310,7 +307,9 @@ def write_manifest(directory, cfg: ExperimentConfig) -> str:
         "seed": cfg.run.seed,
         "version": __version__,
     }
-    manifest_hash = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    manifest_hash = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode("utf-8")
+    ).hexdigest()
     payload["manifest_hash"] = manifest_hash
     path = Path(directory) / "manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -330,9 +329,11 @@ def load_dataset(dataset: DatasetConfig, run_seed: int) -> Graph:
     a pinned seed keeps the network fixed across them.
     """
     if dataset.kind == "sbm":
-        seed = dataset.seed
-        if seed is None:
-            seed = component_seed_words(run_seed, "dataset")[0]
+        seed = (
+            dataset.seed
+            if dataset.seed is not None
+            else component_seed_words(run_seed, "dataset")[0]
+        )
         return generate_sbm(
             dataset.block_sizes,
             p_in=dataset.p_in,
