@@ -10,9 +10,10 @@ Modules: :mod:`temcgl.graph` (immutable CSR graphs, synthetic networks, text
 IO), :mod:`temcgl.propagation` (embedding strategies), :mod:`temcgl.coverage`
 (receptive-field coverage and the coverage-maximising sampler),
 :mod:`temcgl.buffer` (the embedding memory), :mod:`temcgl.model` (MLP head,
-optimisers, gradient-identity checks), :mod:`temcgl.harness` (task sequences,
-metrics, runs, studies), :mod:`temcgl.config` / :mod:`temcgl.cli` (experiment
-files and the ``temcgl`` command).
+its training loop, masked accuracy, optimisers, gradient-identity checks),
+:mod:`temcgl.harness` (task sequences, metrics, runs, studies),
+:mod:`temcgl.config` / :mod:`temcgl.cli` (experiment files and the ``temcgl``
+command).
 """
 
 from .buffer import BudgetPolicy, MemoryBuffer, load_buffer, save_buffer
@@ -34,7 +35,6 @@ from .harness import (
     RunResult,
     TaskSpec,
     build_task_sequence,
-    masked_accuracy,
     run_continual,
     run_sample_study,
 )
@@ -43,6 +43,7 @@ from .model import (
     init_mlp,
     load_model,
     loss_and_grad,
+    masked_accuracy,
     mlp_forward,
     pseudo_gradient_check,
     save_model,

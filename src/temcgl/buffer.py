@@ -250,16 +250,12 @@ def save_buffer(buf: MemoryBuffer, path) -> None:
     Path(path).write_bytes(serialize_buffer(buf))
 
 
-def load_buffer(
-    path,
-    budget: BudgetPolicy | None = None,
-    sampler_id: str = "uniform",
-    coverage_hops: int = 2,
-) -> MemoryBuffer:
+def load_buffer(path) -> MemoryBuffer:
     """Rebuild a buffer from disk; bit-exact under re-serialisation.
 
-    The on-disk format carries entries only, so the sampling configuration
-    of the rebuilt buffer is whatever the caller passes here.
+    The on-disk format carries entries only, so the rebuilt buffer has no
+    budget and cannot sample: it holds the stored rows for replay, export
+    or another save.
     """
     blob = Path(path).read_bytes()
     head = struct.calcsize(_BUFFER_HEADER)
@@ -274,7 +270,7 @@ def load_buffer(
     if len(blob) != head + count * (_record_dtype(0).itemsize + 8 * dim):
         raise ValueError(f"{path}: payload size mismatch")
     records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=head)
-    buf = MemoryBuffer(budget, sampler_id=sampler_id, coverage_hops=coverage_hops)
+    buf = MemoryBuffer(None, sampler_id="uniform")
     buf._append(records["te"], records["label"], records["task_id"], records["node_id"])
     buf._tasks_seen.update(buf.task_id.tolist())
     return buf

@@ -92,7 +92,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
     g = load_dataset(cfg.dataset, cfg.run.seed)
-    log.info("dataset ready: %d nodes, %d edges", g.num_nodes, g.indices.size // 2)
+    log.info("dataset ready: %d nodes, %d edges", g.num_nodes, g.num_edges)
 
     result = run_continual(g, cfg.run)
     manifest_hash = write_manifest(out, cfg)
@@ -227,7 +227,7 @@ def cmd_gen_sbm(args) -> int:
     write_manifest(out, cfg)
     print(
         f"wrote {len(paths)} files to {out} "
-        f"({g.num_nodes} nodes, {g.indices.size // 2} edges)"
+        f"({g.num_nodes} nodes, {g.num_edges} edges)"
     )
     return 0
 

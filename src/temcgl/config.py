@@ -237,6 +237,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("[study] num_seeds must be >= 1")
         if "num_seeds" in study_args:
             study_args["seeds"] = tuple(range(study_args.pop("num_seeds")))
+        for i, seed in enumerate(study_args["seeds"]):
+            if seed in study_args["seeds"][:i]:
+                raise ConfigError(f"[study] seed {seed} is repeated; seeds must be distinct")
         study = StudyConfig(**study_args)
     return ExperimentConfig(dataset=dataset, run=run, out=out, study=study)
 

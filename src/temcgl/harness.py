@@ -5,7 +5,8 @@ of a few new classes, recomputes topology-aware embeddings on the currently
 visible subgraph, trains the shared head (optionally rehearsing buffered
 embeddings), and then scores every task seen so far. Because embeddings are
 produced by a parameter-free operator, rows stored in the buffer stay valid
-across tasks and replay needs no stored neighbourhoods.
+across tasks and replay needs no stored neighbourhoods. The head's training
+loop and masked accuracy live in `model` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .coverage import coverage_ratio
 from .graph import TEST, TRAIN, VALID, Graph, induced_subgraph, normalize_adjacency
 from .model import (
     MlpParams,
-    _Workspace,
+    _train_head,
     class_balance_weights,
     init_mlp,
-    loss_and_grad,
     make_optimizer,
-    mlp_forward,
+    masked_accuracy,
     replay_batch,
 )
 from .propagation import PropagationStrategy, TEMatrix, compute_tes
@@ -63,7 +63,7 @@ def build_task_sequence(g: Graph, classes_per_task: int) -> list[TaskSpec]:
     evenly. Every task must contribute at least one training and one test
     node, otherwise its accuracy is undefined.
     """
-    num_classes = int(g.labels.max()) + 1 if g.num_nodes else 0
+    num_classes = g.num_classes
     if classes_per_task < 1:
         raise ValueError("classes_per_task must be >= 1")
     if classes_per_task > num_classes:
@@ -155,33 +155,6 @@ class AccuracyMatrix:
         return float(drops.mean())
 
 
-def masked_accuracy(
-    params: MlpParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    allowed_classes: np.ndarray,
-    *,
-    workspace: _Workspace | None = None,
-) -> float:
-    """Accuracy with the argmax restricted to `allowed_classes`.
-
-    Ties resolve to the lowest allowed class id, which keeps evaluation
-    deterministic across runs. A `workspace` built from this `x` and these
-    `allowed_classes` (which it checks and sorts once) is reused for the
-    forward pass.
-    """
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (len(x),):
-        raise ValueError("labels must be one per row")
-    if workspace is None:
-        workspace = _Workspace(params, x, classes=allowed_classes)
-    workspace._check(params, classes=allowed_classes)
-    logits = mlp_forward(params, x, workspace=workspace)
-    allowed = workspace.classes
-    pred = allowed[np.argmax(logits[:, allowed], axis=1)]
-    return float(np.mean(pred == y))
-
-
 # ---------------------------------------------------------------------------
 # run configuration and results
 # ---------------------------------------------------------------------------
@@ -266,51 +239,6 @@ class RunResult:
     tasks: list[TaskSpec]
 
 
-# ---------------------------------------------------------------------------
-# training loop
-# ---------------------------------------------------------------------------
-
-
-def _train_head(
-    params: MlpParams,
-    optimizer,
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray | None,
-    valid_x: np.ndarray,
-    valid_y: np.ndarray,
-    allowed: np.ndarray,
-    epochs: int,
-    patience: int,
-) -> MlpParams:
-    """Full-batch training with early stopping on held-out masked accuracy.
-
-    Returns the parameters of the best validation epoch; with no validation
-    nodes it simply runs every epoch.
-    """
-    train = _Workspace(params, x, y, w)
-    if len(valid_y) == 0:
-        for _ in range(epochs):
-            _, grads = loss_and_grad(params, x, y, w, workspace=train)
-            optimizer.step(params, grads)
-        return params
-
-    scoring = _Workspace(params, valid_x, classes=allowed)
-    best = params.copy()
-    best_acc, best_epoch = -1.0, -1
-    for epoch in range(epochs):
-        _, grads = loss_and_grad(params, x, y, w, workspace=train)
-        optimizer.step(params, grads)
-        acc = masked_accuracy(params, valid_x, valid_y, allowed, workspace=scoring)
-        if acc > best_acc:
-            best_acc, best_epoch = acc, epoch
-            for kept, current in zip(best.weights + best.biases, params.weights + params.biases):
-                np.copyto(kept, current)
-        elif epoch - best_epoch >= patience:
-            break
-    return best
-
-
 def _embed_task(
     g: Graph, tasks: Sequence[TaskSpec], task_id: int, cfg: RunConfig
 ) -> tuple[np.ndarray, Graph, TEMatrix]:
@@ -331,13 +259,12 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     loop, so every output is bit-identical to one.
     """
     tasks = build_task_sequence(g, cfg.classes_per_task)
-    num_classes = int(g.labels.max()) + 1
     te_dim = (
         cfg.strategy.hidden_dim
         if cfg.strategy.variant == "reservoir"
         else g.features.shape[1]
     )
-    layer_dims = [te_dim, *cfg.hidden_dims, num_classes]
+    layer_dims = [te_dim, *cfg.hidden_dims, g.num_classes]
     params = init_mlp(layer_dims, component_rng(cfg.seed, "model-init"))
     buffer = MemoryBuffer(
         cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
@@ -571,6 +498,9 @@ def run_sample_study(
             raise ValueError(f"unknown sampler {s!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"seed {seed} is repeated; each seed must be one independent run")
 
     units = [(dataset, base, s, b, seed) for s in samplers for b in budgets for seed in seeds]
     if jobs > 1:

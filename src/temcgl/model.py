@@ -1,11 +1,14 @@
 """The trainable part: an MLP head over fixed embeddings, its exact
-gradients, plain SGD/Adam, and the replay-gradient identity check.
+gradients, masked accuracy, plain SGD/Adam, the early-stopping training
+loop, and the replay-gradient identity check.
 
 Training never touches the graph — the head only ever sees embedding rows
 (current task's or replayed from the buffer). The loss is weighted
 cross-entropy normalised by total weight, so per-sample weights can encode
 both class-size rebalancing and a replay multiplier without changing the
-loss scale.
+loss scale. The training loop keeps one private workspace per batch, so an
+epoch allocates no batch-sized array; the public functions build a
+throwaway workspace and run the same arithmetic.
 
 `pseudo_gradient_check` verifies, instance by instance, that for a linear
 positive head trained with -log of one raw output, the gradient on a
@@ -69,23 +72,22 @@ def init_mlp(layer_dims, rng: np.random.Generator) -> MlpParams:
 class _Workspace:
     """Arrays for repeated passes of one MLP shape over one fixed batch.
 
-    `loss_and_grad`, `mlp_forward` and `masked_accuracy` write every
-    batch-sized intermediate into these arrays instead of allocating fresh
-    ones, so a training loop that keeps one workspace per batch allocates no
+    A workspace is bound to the batch it is built from: `_logits`,
+    `_loss_and_grad` and `_accuracy` take the workspace in place of the
+    batch and write every batch-sized intermediate into its arrays, so a
+    training loop that keeps one workspace per batch allocates no
     batch-sized array per epoch. Results read from a workspace (activations,
     logits, gradients) are overwritten by its next use. The inputs are
     checked once, here: training sample weights when `y` is given, scoring
-    classes when `classes` is given. A workspace only serves the very
-    objects it was built from (see `_check`).
+    classes when `classes` is given.
     """
 
     def __init__(self, params: MlpParams, x, y=None, sample_weight=None, classes=None):
-        self.dims = params.layer_dims
-        self.source = {"x": x, "y": y, "sample_weight": sample_weight, "classes": classes}
+        dims = params.layer_dims
         x = np.asarray(x, dtype=np.float64)
         n = x.shape[0]
-        self.hs = [x] + [np.empty((n, d)) for d in self.dims[1:-1]]
-        self.logits = np.empty((n, self.dims[-1]))
+        self.hs = [x] + [np.empty((n, d)) for d in dims[1:-1]]
+        self.logits = np.empty((n, dims[-1]))
         if y is not None:
             self._init_training(params, y, sample_weight)
         if classes is not None:
@@ -120,20 +122,14 @@ class _Workspace:
         )
 
     def _init_scoring(self, classes) -> None:
-        if self.logits.shape[0] == 0:
+        n, num_out = self.logits.shape
+        if n == 0:
             raise ValueError("cannot score an empty evaluation set")
         self.classes = np.unique(np.asarray(classes, dtype=np.int64))
         if len(self.classes) == 0:
             raise ValueError("no allowed classes")
-        if self.classes[0] < 0 or self.classes[-1] >= self.dims[-1]:
+        if self.classes[0] < 0 or self.classes[-1] >= num_out:
             raise ValueError("allowed class id outside the output layer")
-
-    def _check(self, params: MlpParams, **source) -> None:
-        """Refuse other layer sizes, or inputs other than the build's objects."""
-        if params.layer_dims != self.dims:
-            raise ValueError("workspace was built for other layer sizes")
-        if any(self.source[name] is not value for name, value in source.items()):
-            raise ValueError("workspace was built for another batch")
 
 
 def _activations(params: MlpParams, ws: _Workspace) -> list[np.ndarray]:
@@ -153,14 +149,9 @@ def _logits(params: MlpParams, ws: _Workspace) -> np.ndarray:
     return ws.logits
 
 
-def mlp_forward(
-    params: MlpParams, x: np.ndarray, *, workspace: _Workspace | None = None
-) -> np.ndarray:
-    """Output logits; with a `workspace` built for `x`, its logits array."""
-    if workspace is None:
-        workspace = _Workspace(params, x)
-    workspace._check(params, x=x)
-    return _logits(params, workspace)
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Output logits."""
+    return _logits(params, _Workspace(params, x))
 
 
 def mlp_hidden(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -173,16 +164,14 @@ def loss_and_grad(
     x: np.ndarray,
     y: np.ndarray,
     sample_weight: np.ndarray | None = None,
-    *,
-    workspace: _Workspace | None = None,
 ) -> tuple[float, MlpParams]:
-    """Weighted cross-entropy (normalised by total weight) and its exact grads.
+    """Weighted cross-entropy (normalised by total weight) and its exact grads."""
+    return _loss_and_grad(params, _Workspace(params, x, y, sample_weight))
 
-    With a `workspace` built for this very batch, the gradients returned are
-    the workspace's own arrays, valid until its next use.
-    """
-    ws = workspace if workspace is not None else _Workspace(params, x, y, sample_weight)
-    ws._check(params, x=x, y=y, sample_weight=sample_weight)
+
+def _loss_and_grad(params: MlpParams, ws: _Workspace) -> tuple[float, MlpParams]:
+    """`loss_and_grad` on a training workspace's batch; the gradients
+    returned are the workspace's own arrays, valid until its next use."""
     hs = ws.hs
     logits = _logits(params, ws)
 
@@ -219,6 +208,27 @@ def loss_and_grad(
         if layer:
             np.matmul(dz, params.weights[layer].T, out=ws.dh[layer - 1])
     return loss, ws.grads
+
+
+def masked_accuracy(
+    params: MlpParams, x: np.ndarray, y: np.ndarray, allowed_classes: np.ndarray
+) -> float:
+    """Accuracy with the argmax restricted to `allowed_classes`.
+
+    Ties resolve to the lowest allowed class id, which keeps evaluation
+    deterministic across runs.
+    """
+    return _accuracy(params, _Workspace(params, x, classes=allowed_classes), y)
+
+
+def _accuracy(params: MlpParams, ws: _Workspace, y: np.ndarray) -> float:
+    """`masked_accuracy` of labels `y` on a scoring workspace's batch."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (len(ws.hs[0]),):
+        raise ValueError("labels must be one per row")
+    logits = _logits(params, ws)
+    pred = ws.classes[np.argmax(logits[:, ws.classes], axis=1)]
+    return float(np.mean(pred == y))
 
 
 def class_balance_weights(labels: np.ndarray) -> np.ndarray:
@@ -326,6 +336,52 @@ def make_optimizer(name: str, lr: float):
     if name == "adam":
         return AdamOptimizer(lr)
     raise ValueError(f"unknown optimizer {name!r}; pick sgd or adam")
+
+
+# ---------------------------------------------------------------------------
+# training loop
+# ---------------------------------------------------------------------------
+
+
+def _train_head(
+    params: MlpParams,
+    optimizer,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray | None,
+    valid_x: np.ndarray,
+    valid_y: np.ndarray,
+    allowed: np.ndarray,
+    epochs: int,
+    patience: int,
+) -> MlpParams:
+    """Full-batch training with early stopping on held-out masked accuracy.
+
+    Returns the parameters of the best validation epoch; with no validation
+    nodes it simply runs every epoch. One training and one scoring
+    workspace serve every epoch.
+    """
+    train = _Workspace(params, x, y, w)
+    if len(valid_y) == 0:
+        for _ in range(epochs):
+            _, grads = _loss_and_grad(params, train)
+            optimizer.step(params, grads)
+        return params
+
+    scoring = _Workspace(params, valid_x, classes=allowed)
+    best = params.copy()
+    best_acc, best_epoch = -1.0, -1
+    for epoch in range(epochs):
+        _, grads = _loss_and_grad(params, train)
+        optimizer.step(params, grads)
+        acc = _accuracy(params, scoring, valid_y)
+        if acc > best_acc:
+            best_acc, best_epoch = acc, epoch
+            for kept, current in zip(best.weights + best.biases, params.weights + params.biases):
+                np.copyto(kept, current)
+        elif epoch - best_epoch >= patience:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,11 @@ def test_study_seed_keys_are_exclusive():
     assert resolved.study.seeds == (0, 1, 2)
 
 
+def test_study_seeds_must_be_distinct():
+    with pytest.raises(ConfigError, match=r"^\[study\] seed 1 is repeated"):
+        parse_config(STUDY_INI.replace("seeds = 0, 1", "seeds = 1, 1, 1"))
+
+
 def test_files_dataset_round_trips_through_disk(tmp_path):
     g = generate_sbm((15, 15), p_in=0.3, p_out=0.05, feature_dim=3, feature_shift=1.0, seed=7)
     from temcgl.graph import save_graph_files

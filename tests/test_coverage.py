@@ -81,6 +81,25 @@ def test_singleton_table_matches_set_bfs_with_universe(seed: int, hops: int, blo
     assert table.tolist() == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), hops=st.integers(0, 3), with_universe=st.booleans())
+def test_coverage_ratio_matches_set_bfs(seed: int, hops: int, with_universe: bool):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    pad = int(rng.integers(0, 4))  # trailing isolated nodes
+    edges = random_edges(n, float(rng.uniform(0.0, 0.3)), rng)
+    g = build_graph(n + pad, edges)
+    # drawn with replacement, so the seeds come unsorted and may repeat
+    nodes = rng.integers(0, n + pad, size=int(rng.integers(1, 2 * (n + pad))))
+    universe = None
+    members = set(range(n + pad))
+    if with_universe:
+        universe = rng.choice(n + pad, size=int(rng.integers(1, n + pad + 1)), replace=False)
+        members = {int(u) for u in universe}
+    got = coverage_ratio(g, nodes, hops=hops, universe=universe)
+    assert got == len(ball_oracle(n + pad, edges, nodes, hops) & members) / len(members)
+
+
 def test_singleton_table_rejects_out_of_range_candidates():
     g = build_graph(4, path_edges(4))
     for bad in ([0, 4], [-1]):

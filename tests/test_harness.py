@@ -7,7 +7,7 @@ import pytest
 
 from temcgl.buffer import BudgetPolicy
 from temcgl.graph import TRAIN, build_graph, generate_sbm
-from temcgl import harness as harness_module
+from temcgl import model as model_module
 from temcgl.harness import (
     AccuracyMatrix,
     RunConfig,
@@ -232,7 +232,7 @@ def test_kept_params_share_no_memory_with_training_arrays(monkeypatch):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(harness_module, "_Workspace", Recorded)
+    monkeypatch.setattr(model_module, "_Workspace", Recorded)
     res = run_continual(_sbm(seed=3), _cfg(seed=11, epochs=20))
     # a training and a scoring workspace per task, plus one per evaluation
     assert len(built) == 3 * 2 + 6
@@ -408,5 +408,20 @@ def test_run_sample_study_rejects_bad_fraction_before_any_run():
     with pytest.raises(ValueError, match="fraction"):
         run_sample_study(
             dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.1, 1.5), seeds=(0, 1, 2)
+        )
+    assert calls == []
+
+
+def test_run_sample_study_rejects_repeated_seeds_before_any_run():
+    calls = []
+
+    def dataset(seed: int):
+        calls.append(seed)
+        return _study_dataset(seed)
+
+    # a repeat would count as one more independent run and shrink the spread
+    with pytest.raises(ValueError, match="seed 1 is repeated"):
+        run_sample_study(
+            dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.2,), seeds=(1, 2, 1)
         )
     assert calls == []

@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only
+`model.py` names the head's private workspace.
 
-`__init__.py` is left out: its imports are the public re-exports.
+`__init__.py` is left out of the import check: its imports are the public
+re-exports.
 """
 from __future__ import annotations
 
@@ -53,3 +55,20 @@ def test_module_uses_every_import(path: Path):
     used = _used(tree)
     dead = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not dead, f"{path.name} imports names it never uses: {dead}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "model.py"], ids=lambda p: p.name
+)
+def test_only_model_names_the_workspace(path: Path):
+    # A workspace is bound to its batch only while `model.py` alone builds
+    # and passes one.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = {
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_Workspace")
+        or (isinstance(node, ast.Attribute) and node.attr == "_Workspace")
+        or (isinstance(node, ast.alias) and "_Workspace" in (node.name, node.asname))
+    }
+    assert not named, f"{path.name} names _Workspace on lines {sorted(named)}"

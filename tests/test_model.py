@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from temcgl.buffer import BudgetPolicy, MemoryBuffer
 from temcgl.graph import build_graph, normalize_adjacency
-from temcgl.harness import _train_head, masked_accuracy
 from temcgl.model import (
     MlpParams,
     _Workspace,
+    _accuracy,
+    _logits,
+    _loss_and_grad,
+    _train_head,
     class_balance_weights,
     init_mlp,
     load_model,
@@ -285,7 +288,7 @@ def test_loss_grad_and_steps_match_allocating_oracle(
     workspace = _Workspace(params, x, y, w)
     optimizer, ref_optimizer = make_optimizer(name, 0.05), _oracle_optimizer(name, 0.05)
     for _ in range(3):
-        loss, grads = loss_and_grad(params, x, y, w, workspace=workspace)
+        loss, grads = _loss_and_grad(params, workspace)
         plain_loss, plain_grads = loss_and_grad(params, x, y, w)
         ref_loss, ref_gw, ref_gb = oracle_loss_and_grad(ref_w, ref_b, x, y, w)
         assert _same_bits(np.float64(loss), np.float64(ref_loss))
@@ -330,15 +333,8 @@ def test_train_head_matches_allocating_oracle(
         assert _same_bits(got, want)
 
 
-def test_workspace_rejects_other_batches_and_shapes():
-    _, params, x, y, w = _head_case(0, [4, 6, 3], 10, True)
-    workspace = _Workspace(params, x, y, w)
-    with pytest.raises(ValueError, match="another batch"):
-        loss_and_grad(params, x.copy(), y, w, workspace=workspace)
-    with pytest.raises(ValueError, match="another batch"):
-        loss_and_grad(params, x, y, None, workspace=workspace)
-    with pytest.raises(ValueError, match="layer sizes"):
-        loss_and_grad(init_mlp([4, 5, 3], component_rng(0, "x")), x, y, w, workspace=workspace)
+def test_loss_and_grad_rejects_labels_outside_the_output_layer():
+    _, params, x, _, _ = _head_case(0, [4, 6, 3], 10, True)
     with pytest.raises(ValueError, match="one output class per row"):
         loss_and_grad(params, x, np.full(10, 3))
     with pytest.raises(ValueError, match="one output class per row"):
@@ -349,15 +345,15 @@ def test_reused_workspace_matches_a_fresh_one_for_other_params():
     _, first, x, y, w = _head_case(1, [5, 7, 7, 4], 30, True)
     second = init_mlp([5, 7, 7, 4], component_rng(2, "model-init"))
     workspace = _Workspace(first, x, y, w)
-    loss_and_grad(first, x, y, w, workspace=workspace)
-    loss, grads = loss_and_grad(second, x, y, w, workspace=workspace)
+    _loss_and_grad(first, workspace)
+    loss, grads = _loss_and_grad(second, workspace)
     fresh_loss, fresh = loss_and_grad(second, x, y, w)
     assert loss == fresh_loss
     for got, want in zip(_tensors(grads), _tensors(fresh)):
         assert _same_bits(got, want)
     scoring = _Workspace(first, x)
-    mlp_forward(first, x, workspace=scoring)
-    assert _same_bits(mlp_forward(second, x, workspace=scoring), mlp_forward(second, x))
+    _logits(first, scoring)
+    assert _same_bits(_logits(second, scoring), mlp_forward(second, x))
 
 
 def test_kept_results_share_no_memory_with_a_workspace():
@@ -365,7 +361,7 @@ def test_kept_results_share_no_memory_with_a_workspace():
     workspace = _Workspace(params, x, y, w)
     kept_a = loss_and_grad(params, x, y, w)[1]
     kept_b = loss_and_grad(params, x, y, w)[1]
-    _, reused = loss_and_grad(params, x, y, w, workspace=workspace)
+    _, reused = _loss_and_grad(params, workspace)
     for a, b, c in zip(_tensors(kept_a), _tensors(kept_b), _tensors(reused)):
         assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
         for owned in _tensors(params) + [x]:
@@ -383,9 +379,9 @@ def test_one_epoch_allocates_no_batch_sized_array():
     optimizer = make_optimizer("adam", 0.01)
 
     def epoch():
-        _, grads = loss_and_grad(params, x, y, w, workspace=train)
+        _, grads = _loss_and_grad(params, train)
         optimizer.step(params, grads)
-        masked_accuracy(params, valid_x, valid_y, allowed, workspace=scoring)
+        _accuracy(params, scoring, valid_y)
 
     epoch()  # the optimiser allocates its state on its first step
     tracemalloc.start()
