@@ -88,27 +88,17 @@ def sample_nearest_centroid(
     candidates = np.asarray(candidates, dtype=np.int64)
     if n > len(candidates):
         raise ValueError(f"cannot draw {n} from {len(candidates)} candidates")
-    cand_labels = np.asarray(labels)[candidates]
-    ranked: list[np.ndarray] = []
-    for cls in np.unique(cand_labels):
-        members = candidates[cand_labels == cls]
-        rows = np.asarray(tes_values)[members]
-        dist = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
-        ranked.append(members[np.lexsort((members, dist))])
-    picks: list[int] = []
-    rank = 0
-    while len(picks) < n:
-        took_any = False
-        for queue in ranked:
-            if rank < len(queue):
-                picks.append(int(queue[rank]))
-                took_any = True
-                if len(picks) == n:
-                    break
-        if not took_any:
-            break
-        rank += 1
-    return np.array(picks, dtype=np.int64)
+    classes, cls = np.unique(np.asarray(labels)[candidates], return_inverse=True)
+    dist = np.empty(len(candidates))
+    for k in range(len(classes)):
+        rows = np.asarray(tes_values)[candidates[cls == k]]
+        dist[cls == k] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
+    # each candidate's rank inside its class, then rank-major over classes
+    order = np.lexsort((candidates, dist, cls))
+    counts = np.bincount(cls)
+    rank = np.empty(len(candidates), dtype=np.int64)
+    rank[order] = np.arange(len(candidates)) - (np.cumsum(counts) - counts)[cls[order]]
+    return candidates[np.lexsort((cls, rank))[:n]]
 
 
 def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,7 +49,7 @@ from .harness import (
     write_study_table,
 )
 from .model import load_model, mlp_hidden, pseudo_gradient_check, save_model
-from .propagation import PropagationStrategy
+from .propagation import LINEAR_VARIANTS, PropagationStrategy
 from .rng import component_rng
 
 log = logging.getLogger("temcgl.cli")
@@ -146,7 +146,6 @@ def cmd_check_theorem(args) -> int:
     if args.max_nodes < 3:
         raise ConfigError("--max-nodes must be >= 3")
     rng = component_rng(args.seed, "theorem-check")
-    variants = ("power", "hop_average", "lazy_power")
     classes, dim = 4, 3
     worst = 0.0
     for trial in range(args.trials):
@@ -161,7 +160,7 @@ def cmd_check_theorem(args) -> int:
             np.array(edges),
             features=rng.uniform(0.1, 1.0, size=(n, dim)),
         )
-        variant = variants[trial % len(variants)]
+        variant = LINEAR_VARIANTS[trial % len(LINEAR_VARIANTS)]
         hops = int(rng.integers(1, 4))
         if variant == "power":
             strategy = PropagationStrategy(variant, hops)

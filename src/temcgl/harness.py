@@ -249,126 +249,126 @@ def _embed_task(
     return visible, sub, compute_tes(adj, sub.features, cfg.strategy)
 
 
+def _graph_step(
+    g: Graph, tasks: Sequence[TaskSpec], task: TaskSpec, cfg: RunConfig, buffer: MemoryBuffer
+) -> tuple[np.ndarray, TEMatrix, tuple | None, BufferStat]:
+    """The part of one task that never reads the head.
+
+    Returns the visible node ids, their embeddings, the head's batch
+    `(x, y, w, valid_x, valid_y)` (None under "joint", which gathers it from
+    the evaluation embeddings) and the task's buffer statistics. Under
+    "replay" the task commits its selection to `buffer`.
+    """
+    visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
+    local_train = np.searchsorted(visible, task.train_nodes)
+    batch = None
+    if cfg.regime != "joint":
+        # Reads the buffer before this task commits to it.
+        x, y, w = replay_batch(
+            tes.values[local_train], sub.labels[local_train], buffer.te, buffer.label,
+            cfg.replay_lambda, cfg.class_balance,
+        )
+        local_valid = np.searchsorted(visible, task.valid_nodes)
+        batch = (x, y, w, tes.values[local_valid], sub.labels[local_valid])
+    if cfg.regime == "replay":
+        rng = component_rng(cfg.seed, f"sampler-task-{task.task_id}")
+        selected = buffer.update_tem(sub, tes, task.task_id, local_train, rng, node_ids=visible)
+        cov = coverage_ratio(sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train)
+        stat = BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
+    else:
+        stat = BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0)
+    return visible, tes, batch, stat
+
+
+def _head_step(
+    params: MlpParams, layer_dims: Sequence[int], tasks: Sequence[TaskSpec], task: TaskSpec,
+    cfg: RunConfig, batch: tuple, eval_te: np.ndarray, labels: np.ndarray,
+) -> tuple[MlpParams, MlpParams, list[float]]:
+    """Train one task's head on `batch` from `params` (updated in place) and score it.
+
+    Returns the trained parameters, a copy that later training leaves alone,
+    and the accuracy on each task seen so far, in task order.
+    """
+    seen = tasks[: task.task_id + 1]
+    seen_classes = np.concatenate([t.classes for t in seen])
+    if cfg.regime == "joint":
+        # Reference upper bound: retrain from scratch on everything seen.
+        params = init_mlp(layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}"))
+    # Model selection scores the validation nodes over every class seen so
+    # far, regardless of scenario. A within-task mask saturates while the new
+    # classes' logits still trail the old ones, which would freeze the head
+    # at a snapshot taken before any real learning.
+    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    params = _train_head(params, optimizer, *batch, seen_classes, cfg.epochs, cfg.patience)
+    accs = [
+        masked_accuracy(
+            params, eval_te[prev.test_nodes], labels[prev.test_nodes],
+            np.asarray(prev.classes) if cfg.scenario == "task_il" else seen_classes,
+        )
+        for prev in seen
+    ]
+    return params, params.copy(), accs
+
+
+def _record_head(run: RunResult, task_id: int, head: tuple) -> MlpParams:
+    """Record what `_head_step` returned for task `task_id`; return its parameters."""
+    params, kept, accs = head
+    for eval_task, acc in enumerate(accs):
+        run.matrix.record(task_id, eval_task, acc)
+    run.aa.append(run.matrix.average_accuracy(task_id))
+    run.af.append(run.matrix.average_forgetting(task_id))
+    run.params_per_task.append(kept)
+    return params
+
+
 def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     """Run one continual-learning pass over the task sequence of `g`.
 
-    The graph side of a task (subgraph, normalisation, propagation, buffer
-    selection and coverage) never reads the head, so it runs on the calling
-    thread while one worker thread trains and scores the previous task's
-    head. Each side makes the same calls in the same order as a sequential
-    loop, so every output is bit-identical to one.
+    Each task's `_graph_step` never reads the head, so it runs on the calling
+    thread while one worker thread runs the previous task's `_head_step`.
+    The calling thread alone writes the result: once that head step is done,
+    it records the step's outputs and then writes the evaluation embeddings
+    the step read. Each side makes the same calls in the same order as a
+    sequential loop, so every output is bit-identical to one.
     """
     tasks = build_task_sequence(g, cfg.classes_per_task)
-    te_dim = (
-        cfg.strategy.hidden_dim
-        if cfg.strategy.variant == "reservoir"
-        else g.features.shape[1]
-    )
+    te_dim = cfg.strategy.hidden_dim if cfg.strategy.variant == "reservoir" else g.feature_dim
     layer_dims = [te_dim, *cfg.hidden_dims, g.num_classes]
     params = init_mlp(layer_dims, component_rng(cfg.seed, "model-init"))
     buffer = MemoryBuffer(
         cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
     )
+    run = RunResult(AccuracyMatrix.empty(len(tasks)), [], [], [], [], buffer, tasks)
 
     # Embeddings used at evaluation time, aligned with global node ids. Under
     # "keep_seen" each task refreshes every visible row; under "drop_all" a
     # row keeps the value computed when its task was current.
     eval_te = np.zeros((g.num_nodes, te_dim))
 
-    matrix = AccuracyMatrix.empty(len(tasks))
-    stats: list[BufferStat] = []
-    params_per_task: list[MlpParams] = []
-    aa: list[float] = []
-    af: list[float | None] = []
-
-    def fit_and_score(task, seen_classes, x, y, w, valid_x, valid_y) -> None:
-        # The worker's side: only it touches the head, the optimiser and the
-        # metrics, and it reads eval_te while the calling thread leaves it be.
-        nonlocal params
-        if cfg.regime == "joint":
-            # Reference upper bound: retrain from scratch on everything seen.
-            params = init_mlp(
-                layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}")
-            )
-        # Model selection scores the validation nodes over every class seen
-        # so far, regardless of scenario. A within-task mask saturates while
-        # the new classes' logits still trail the old ones, which would
-        # freeze the head at a snapshot taken before any real learning.
-        optimizer = make_optimizer(cfg.optimizer, cfg.lr)
-        params = _train_head(
-            params, optimizer, x, y, w, valid_x, valid_y, seen_classes,
-            cfg.epochs, cfg.patience,
-        )
-
-        for prev in tasks[: task.task_id + 1]:
-            allowed_eval = (
-                np.asarray(prev.classes) if cfg.scenario == "task_il" else seen_classes
-            )
-            acc = masked_accuracy(
-                params, eval_te[prev.test_nodes], g.labels[prev.test_nodes], allowed_eval
-            )
-            matrix.record(task.task_id, prev.task_id, acc)
-
-        aa.append(matrix.average_accuracy(task.task_id))
-        af.append(matrix.average_forgetting(task.task_id))
-        params_per_task.append(params.copy())
-
     head = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for task in tasks:
             try:
-                visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
-                local_train = np.searchsorted(visible, task.train_nodes)
-                seen = tasks[: task.task_id + 1]
-                seen_classes = np.concatenate([t.classes for t in seen])
-
-                if cfg.regime != "joint":
-                    # Reads the buffer before this task commits to it.
-                    x, y, w = replay_batch(
-                        tes.values[local_train],
-                        sub.labels[local_train],
-                        buffer.te,
-                        buffer.label,
-                        cfg.replay_lambda,
-                        cfg.class_balance,
-                    )
-                    local_valid = np.searchsorted(visible, task.valid_nodes)
-                    valid_x, valid_y = tes.values[local_valid], sub.labels[local_valid]
-
-                if cfg.regime == "replay":
-                    selected = buffer.update_tem(
-                        sub,
-                        tes,
-                        task.task_id,
-                        local_train,
-                        component_rng(cfg.seed, f"sampler-task-{task.task_id}"),
-                        node_ids=visible,
-                    )
-                    cov = coverage_ratio(
-                        sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train
-                    )
-                    stats.append(
-                        BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
-                    )
-                else:
-                    stats.append(BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0))
+                visible, tes, batch, stat = _graph_step(g, tasks, task, cfg, buffer)
             finally:
                 # The previous task's head reads eval_te, and its error, if
                 # any, comes before this task's, as in a sequential loop.
                 if head is not None:
-                    head.result()
-
+                    params = _record_head(run, task.task_id - 1, head.result())
+            run.buffer_stats.append(stat)
             eval_te[visible] = tes.values
-            if cfg.regime == "joint":
+            if batch is None:
+                seen = tasks[: task.task_id + 1]
                 train_nodes = np.concatenate([t.train_nodes for t in seen])
                 valid_nodes = np.concatenate([t.valid_nodes for t in seen])
-                x, y = eval_te[train_nodes], g.labels[train_nodes]
+                y = g.labels[train_nodes]
                 w = class_balance_weights(y) if cfg.class_balance else None
-                valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
-            head = pool.submit(fit_and_score, task, seen_classes, x, y, w, valid_x, valid_y)
-        head.result()
-
-    return RunResult(matrix, aa, af, stats, params_per_task, buffer, tasks)
+                batch = (eval_te[train_nodes], y, w, eval_te[valid_nodes], g.labels[valid_nodes])
+            head = pool.submit(
+                _head_step, params, layer_dims, tasks, task, cfg, batch, eval_te, g.labels
+            )
+        _record_head(run, len(tasks) - 1, head.result())
+    return run
 
 
 # ---------------------------------------------------------------------------

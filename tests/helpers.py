@@ -299,6 +299,42 @@ def oracle_train_head(weights, biases, optimizer, x, y, w, valid_x, valid_y, all
 
 
 # ---------------------------------------------------------------------------
+# buffer sampler oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_nearest_centroid(candidates, tes_values, labels, n: int) -> np.ndarray:
+    """The nearest-centroid sampler as an explicit round-robin over classes.
+
+    Each class queues its candidates by (distance to the class mean, node id);
+    rounds then take one from every non-empty queue in ascending label order
+    until `n` are picked.
+    """
+    candidates = np.asarray(candidates, dtype=np.int64)
+    cand_labels = np.asarray(labels)[candidates]
+    ranked = []
+    for cls in np.unique(cand_labels):
+        members = candidates[cand_labels == cls]
+        rows = np.asarray(tes_values)[members]
+        dist = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
+        ranked.append(members[np.lexsort((members, dist))])
+    picks = []
+    rank = 0
+    while len(picks) < n:
+        took_any = False
+        for queue in ranked:
+            if rank < len(queue):
+                picks.append(int(queue[rank]))
+                took_any = True
+                if len(picks) == n:
+                    break
+        if not took_any:
+            break
+        rank += 1
+    return np.array(picks, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # sequential run oracle
 # ---------------------------------------------------------------------------
 # The continual run as a single thread performs it. What it leaves out is the

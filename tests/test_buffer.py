@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from temcgl.buffer import (
     BudgetPolicy,
@@ -15,7 +17,7 @@ from temcgl.buffer import (
 from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.propagation import PropagationStrategy, TEMatrix, compute_tes
 
-from helpers import random_edges, star_edges
+from helpers import oracle_nearest_centroid, random_edges, star_edges
 
 
 def _toy_task(num_nodes: int = 12, seed: int = 0):
@@ -109,6 +111,25 @@ def test_nearest_centroid_handles_exhausted_classes():
     assert len(picks) == 4 and len(set(picks.tolist())) == 4
     with pytest.raises(ValueError):
         sample_nearest_centroid(np.arange(6), tes, labels, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), dim=st.integers(1, 3), coarse=st.booleans())
+def test_nearest_centroid_matches_the_round_robin_oracle(seed, dim, coarse):
+    # Coarse embeddings sit on a 3-point grid, so many distances tie and the
+    # node-id tie break decides; labels skip ids so classes are not 0..k.
+    rng = np.random.default_rng(seed)
+    num_nodes = int(rng.integers(1, 40))
+    if coarse:
+        tes = rng.integers(0, 3, size=(num_nodes, dim)).astype(float)
+    else:
+        tes = rng.standard_normal((num_nodes, dim))
+    labels = 3 * rng.integers(0, int(rng.integers(1, 6)), size=num_nodes)
+    candidates = rng.permutation(num_nodes)[: int(rng.integers(0, num_nodes + 1))]
+    for n in range(len(candidates) + 1):
+        got = sample_nearest_centroid(candidates, tes, labels, n)
+        want = oracle_nearest_centroid(candidates, tes, labels, n)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

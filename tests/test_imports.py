@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports, and only
+"""Every module of the package uses each name it imports, every private
+module-level name is referenced somewhere in the package, and only
 `model.py` names the head's private workspace.
 
 `__init__.py` is left out of the import check: its imports are the public
@@ -45,6 +46,33 @@ def _used(tree: ast.AST) -> set[str]:
     return used
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level `_x` names (not dunders) -> the def, class or assignment binding them."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        names.update((n, node) for n in bound if n.startswith("_") and n[1:2] != "_")
+    return names
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Names loaded, read as an attribute or imported anywhere in `tree`."""
+    refs = _used(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+    return refs
+
+
 def test_modules_are_found():
     assert len(MODULES) >= 5
 
@@ -55,6 +83,20 @@ def test_module_uses_every_import(path: Path):
     used = _used(tree)
     dead = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not dead, f"{path.name} imports names it never uses: {dead}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_are_referenced(path: Path):
+    # A helper that a refactor leaves behind shows up here; a reference from
+    # inside its own definition, such as a recursive call, does not count.
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    statements = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    orphans = {
+        name: node.lineno
+        for name, node in _private_definitions(trees[path]).items()
+        if not any(name in refs for stmt, refs in statements if stmt is not node)
+    }
+    assert not orphans, f"{path.name} defines private names nothing references: {orphans}"
 
 
 @pytest.mark.parametrize(

@@ -185,3 +185,20 @@ def test_head_error_comes_before_a_later_graph_side_error(monkeypatch):
     _assert_raises_like_the_oracle(
         g, _cfg(budget=BudgetPolicy(count=count)), _fail_head_at_task_1(monkeypatch)
     )
+
+
+@pytest.mark.parametrize("regime", ["replay", "joint"])
+def test_only_the_calling_thread_records_accuracies(monkeypatch, regime):
+    # the worker returns each head's scores; the calling thread records them
+    original = harness.AccuracyMatrix.record
+    recorded_on = []
+
+    def record(self, *args, **kwargs):
+        recorded_on.append(threading.get_ident())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(harness.AccuracyMatrix, "record", record)
+    got = run_continual(_graph(), _cfg(regime=regime))
+    num_tasks = len(got.tasks)
+    assert len(recorded_on) == num_tasks * (num_tasks + 1) // 2
+    assert set(recorded_on) == {threading.get_ident()}
