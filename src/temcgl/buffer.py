@@ -237,6 +237,7 @@ def serialize_buffer(buf: MemoryBuffer) -> bytes:
 
 
 def save_buffer(buf: MemoryBuffer, path) -> None:
+    """Write `buf`'s entries to `path` in the `serialize_buffer` format."""
     Path(path).write_bytes(serialize_buffer(buf))
 
 

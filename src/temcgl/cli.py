@@ -145,6 +145,8 @@ def cmd_check_theorem(args) -> int:
         raise ConfigError("--trials must be >= 1")
     if args.max_nodes < 3:
         raise ConfigError("--max-nodes must be >= 3")
+    if not np.isfinite(args.tolerance) or args.tolerance < 0:
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     rng = component_rng(args.seed, "theorem-check")
     classes, dim = 4, 3
     worst = 0.0
@@ -176,7 +178,7 @@ def cmd_check_theorem(args) -> int:
             target_class=int(rng.integers(0, classes)),
             corrupt=args.corrupt,
         )
-        worst = max(worst, report.max_deviation)
+        worst = float(np.maximum(worst, report.max_deviation))  # keeps a NaN
         log.debug("trial %d: %s, %d nodes, deviation %.3g", trial, variant, n, report.max_deviation)
 
     status = "ok" if worst <= args.tolerance else "FAILED"

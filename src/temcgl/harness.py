@@ -25,7 +25,6 @@ from .graph import TEST, TRAIN, VALID, Graph, induced_subgraph, normalize_adjace
 from .model import (
     MlpParams,
     _train_head,
-    class_balance_weights,
     init_mlp,
     make_optimizer,
     masked_accuracy,
@@ -255,9 +254,9 @@ def _graph_step(
     """The part of one task that never reads the head.
 
     Returns the visible node ids, their embeddings, the head's batch
-    `(x, y, w, valid_x, valid_y)` (None under "joint", which gathers it from
-    the evaluation embeddings) and the task's buffer statistics. Under
-    "replay" the task commits its selection to `buffer`.
+    `(x, y, w, valid_x, valid_y)` (None under "joint", whose `_head_step`
+    gathers it from the evaluation embeddings) and the task's buffer
+    statistics. Under "replay" the task commits its selection to `buffer`.
     """
     visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
     local_train = np.searchsorted(visible, task.train_nodes)
@@ -270,30 +269,35 @@ def _graph_step(
         )
         local_valid = np.searchsorted(visible, task.valid_nodes)
         batch = (x, y, w, tes.values[local_valid], sub.labels[local_valid])
+    cov = 0.0
     if cfg.regime == "replay":
         rng = component_rng(cfg.seed, f"sampler-task-{task.task_id}")
         selected = buffer.update_tem(sub, tes, task.task_id, local_train, rng, node_ids=visible)
         cov = coverage_ratio(sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train)
-        stat = BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
-    else:
-        stat = BufferStat(task.task_id, 0, buffer.footprint_bytes(), 0.0)
-    return visible, tes, batch, stat
+    return visible, tes, batch, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
 
 
 def _head_step(
     params: MlpParams, layer_dims: Sequence[int], tasks: Sequence[TaskSpec], task: TaskSpec,
-    cfg: RunConfig, batch: tuple, eval_te: np.ndarray, labels: np.ndarray,
+    cfg: RunConfig, batch: tuple | None, eval_te: np.ndarray, labels: np.ndarray,
 ) -> tuple[MlpParams, MlpParams, list[float]]:
     """Train one task's head on `batch` from `params` (updated in place) and score it.
 
-    Returns the trained parameters, a copy that later training leaves alone,
-    and the accuracy on each task seen so far, in task order.
+    Under "joint" (`batch` None) a fresh head trains on every seen task's
+    rows of `eval_te`. Returns the trained parameters, a copy that later
+    training leaves alone, and the accuracy on each seen task, in order.
     """
     seen = tasks[: task.task_id + 1]
     seen_classes = np.concatenate([t.classes for t in seen])
     if cfg.regime == "joint":
         # Reference upper bound: retrain from scratch on everything seen.
         params = init_mlp(layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}"))
+        train_nodes = np.concatenate([t.train_nodes for t in seen])
+        valid_nodes = np.concatenate([t.valid_nodes for t in seen])
+        x, y, w = replay_batch(  # with no buffered rows
+            eval_te[train_nodes], labels[train_nodes], [], [], cfg.replay_lambda, cfg.class_balance
+        )
+        batch = (x, y, w, eval_te[valid_nodes], labels[valid_nodes])
     # Model selection scores the validation nodes over every class seen so
     # far, regardless of scenario. A within-task mask saturates while the new
     # classes' logits still trail the old ones, which would freeze the head
@@ -357,13 +361,6 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
                     params = _record_head(run, task.task_id - 1, head.result())
             run.buffer_stats.append(stat)
             eval_te[visible] = tes.values
-            if batch is None:
-                seen = tasks[: task.task_id + 1]
-                train_nodes = np.concatenate([t.train_nodes for t in seen])
-                valid_nodes = np.concatenate([t.valid_nodes for t in seen])
-                y = g.labels[train_nodes]
-                w = class_balance_weights(y) if cfg.class_balance else None
-                batch = (eval_te[train_nodes], y, w, eval_te[valid_nodes], g.labels[valid_nodes])
             head = pool.submit(
                 _head_step, params, layer_dims, tasks, task, cfg, batch, eval_te, g.labels
             )

@@ -291,11 +291,10 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._state: list[tuple[np.ndarray, ...]] | None = None
         self._t = 0
 
@@ -308,7 +307,7 @@ class AdamOptimizer:
             # m, v and two scratch arrays per tensor
             self._state = [tuple(np.zeros_like(p) for _ in range(4)) for p in tensors]
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1, c2 = 1 - b1**self._t, 1 - b2**self._t
         for p, g, (m, v, num, den) in zip(tensors, grads.weights + grads.biases, self._state):
             m *= b1
@@ -319,7 +318,7 @@ class AdamOptimizer:
             v += num
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += self.EPS
             np.divide(m, c1, out=num)
             num *= self.lr
             num /= den
@@ -357,25 +356,20 @@ def _train_head(
 ) -> MlpParams:
     """Full-batch training with early stopping on held-out masked accuracy.
 
-    Returns the parameters of the best validation epoch; with no validation
-    nodes it simply runs every epoch. One training and one scoring
-    workspace serve every epoch.
+    Trains `params` in place and returns a copy of the best validation
+    epoch's parameters; with no validation rows every epoch counts as the
+    best so far, so all epochs run. One training and one scoring workspace
+    serve every epoch.
     """
     train = _Workspace(params, x, y, w)
-    if len(valid_y) == 0:
-        for _ in range(epochs):
-            _, grads = _loss_and_grad(params, train)
-            optimizer.step(params, grads)
-        return params
-
-    scoring = _Workspace(params, valid_x, classes=allowed)
+    scoring = _Workspace(params, valid_x, classes=allowed) if len(valid_y) else None
     best = params.copy()
     best_acc, best_epoch = -1.0, -1
     for epoch in range(epochs):
         _, grads = _loss_and_grad(params, train)
         optimizer.step(params, grads)
-        acc = _accuracy(params, scoring, valid_y)
-        if acc > best_acc:
+        acc = _accuracy(params, scoring, valid_y) if scoring else None
+        if acc is None or acc > best_acc:
             best_acc, best_epoch = acc, epoch
             for kept, current in zip(best.weights + best.biases, params.weights + params.biases):
                 np.copyto(kept, current)
@@ -392,6 +386,7 @@ _MODEL_HEADER = "<4sII"  # magic, version, layer count
 
 
 def save_model(params: MlpParams, path) -> None:
+    """Write `params` as a little-endian float64 model file (magic `TEMM`)."""
     dims = params.layer_dims
     parts = [struct.pack(_MODEL_HEADER, MODEL_MAGIC, MODEL_FORMAT_VERSION, len(params.weights))]
     parts.append(struct.pack(f"<{len(dims)}I", *dims))
@@ -402,6 +397,7 @@ def save_model(params: MlpParams, path) -> None:
 
 
 def load_model(path) -> MlpParams:
+    """Read a `save_model` file, refusing a bad magic, version or size."""
     blob = Path(path).read_bytes()
     head = struct.calcsize(_MODEL_HEADER)
     if len(blob) < head:
@@ -487,8 +483,8 @@ def pseudo_gradient_check(
         raise ValueError(f"node {node} out of range")
     if not 0 <= target_class < w.shape[1]:
         raise ValueError(f"target_class {target_class} out of range")
-    if corrupt < 0:
-        raise ValueError("corrupt must be >= 0")
+    if not np.isfinite(corrupt) or corrupt < 0:
+        raise ValueError(f"corrupt must be finite and >= 0, got {corrupt}")
 
     k = target_class
     pi = propagation_row(adj, strategy, node)
@@ -503,19 +499,13 @@ def pseudo_gradient_check(
     direct[:, k] = -te / z_v[k]
 
     support = np.flatnonzero(pi > 0)
+    z_m = x[support] @ w[:, k]
     coefficients = np.zeros(adj.num_nodes)
-    member_terms = {}
-    for m in support:
-        z_mk = float(x[m] @ w[:, k])
-        coefficients[m] = z_mk * pi[m] / z_v[k]
-        term = np.zeros_like(w)
-        term[:, k] = -x[m] / z_mk
-        member_terms[int(m)] = term
+    coefficients[support] = z_m * pi[support] / z_v[k]
     if corrupt and support.size:
         coefficients[support[np.argmax(coefficients[support])]] *= 1.0 + corrupt
     reconstructed = np.zeros_like(w)
-    for m in support:
-        reconstructed += coefficients[m] * member_terms[int(m)]
+    reconstructed[:, k] = -(coefficients[support] / z_m) @ x[support]
 
     deviation = float(np.max(np.abs(direct - reconstructed)))
     return PseudoGradientReport(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from temcgl.config import (
 )
 from temcgl.graph import generate_sbm, load_graph_files, normalize_adjacency
 from temcgl.harness import RunConfig
+from temcgl.model import pseudo_gradient_check
 from temcgl.propagation import compute_tes
 
 RUN_INI = """
@@ -329,6 +331,36 @@ def test_cli_check_theorem_passes_and_corrupt_fails(capsys):
     assert main(["check-theorem", "--trials", "30", "--max-nodes", "8"]) == 0
     assert "max deviation" in capsys.readouterr().out
     assert main(["check-theorem", "--trials", "10", "--max-nodes", "8", "--corrupt", "0.05"]) == 1
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "inf"])
+def test_cli_check_theorem_refuses_a_non_finite_corrupt(corrupt, capsys):
+    assert main(["check-theorem", "--trials", "5", "--corrupt", corrupt]) == 1
+    captured = capsys.readouterr()
+    assert "corrupt must be finite" in captured.err
+    assert "ok" not in captured.out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+def test_cli_check_theorem_refuses_a_bad_tolerance(tolerance, capsys):
+    assert main(["check-theorem", "--trials", "5", f"--tolerance={tolerance}"]) == 1
+    assert "--tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_cli_check_theorem_fails_on_a_nan_deviation(monkeypatch, capsys):
+    calls = []
+
+    def nan_on_third_trial(*args, **kwargs):
+        report = pseudo_gradient_check(*args, **kwargs)
+        calls.append(report)
+        if len(calls) == 3:
+            report = dataclasses.replace(report, max_deviation=float("nan"))
+        return report
+
+    monkeypatch.setattr(temcgl.cli, "pseudo_gradient_check", nan_on_third_trial)
+    assert main(["check-theorem", "--trials", "5", "--max-nodes", "6"]) == 1
+    assert len(calls) == 5
+    assert "max deviation nan (tolerance 1e-08) FAILED" in capsys.readouterr().out
 
 
 def test_cli_sample_study(tmp_path):

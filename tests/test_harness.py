@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,3 +426,15 @@ def test_run_sample_study_rejects_repeated_seeds_before_any_run():
             dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.2,), seeds=(1, 2, 1)
         )
     assert calls == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    printed = capsys.readouterr().out.splitlines()
+    # three rows of the 3x3 accuracy matrix, then final AA and AF
+    assert len(printed) == 4
+    aa, af = (float(v) for v in printed[-1].split())
+    assert 0.0 <= aa <= 1.0 and -1.0 <= af <= 1.0

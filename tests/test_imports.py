@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-module-level name is referenced somewhere in the package, and only
-`model.py` names the head's private workspace.
+module-level name is referenced somewhere in the package, only `model.py`
+names the head's private workspace, and every public function and class
+has a docstring.
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.
@@ -8,9 +9,12 @@ re-exports.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import temcgl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "temcgl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -114,3 +118,14 @@ def test_only_model_names_the_workspace(path: Path):
         or (isinstance(node, ast.alias) and "_Workspace" in (node.name, node.asname))
     }
     assert not named, f"{path.name} names _Workspace on lines {sorted(named)}"
+
+
+def test_public_names_have_docstrings():
+    # A dataclass without one gets its generated signature as `__doc__`.
+    public = [getattr(temcgl, name) for name in temcgl.__all__]
+    undocumented = [
+        obj.__name__
+        for obj in public
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and not (obj.__doc__ or "").strip()
+    ]
+    assert not undocumented, f"public names without a docstring: {undocumented}"

@@ -505,6 +505,14 @@ def test_pseudo_gradient_corruption_is_detected():
     assert report.max_deviation > 1e-8
 
 
+@pytest.mark.parametrize("corrupt", [np.nan, np.inf, -0.01])
+def test_pseudo_gradient_check_refuses_a_bad_corrupt(corrupt):
+    # A NaN factor would turn the deviation into NaN, which a max() drops.
+    g, adj, weights, strategy, rng = _positive_instance(303)
+    with pytest.raises(ValueError, match="corrupt must be finite and >= 0"):
+        pseudo_gradient_check(adj, g.features, weights, 0, strategy, corrupt=corrupt)
+
+
 def test_pseudo_gradient_check_rejects_bad_inputs():
     g, adj, weights, strategy, rng = _positive_instance(404)
     with pytest.raises(ValueError):
