@@ -18,6 +18,9 @@ The `config/...` cases pin `config_hash`, the SHA-256 of the canonical text
 both dataset kinds, each optional section absent and fully set, both budget
 forms and both study seed forms, the README's quick-start config, and one
 digest over the canonical texts of the whole grid of those sections.
+
+The `study/...` cases pin the bytes of the files `temcgl sample-study`
+writes for a two-sampler, two-fraction, three-seed study on a 100-node SBM.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 
 from temcgl.buffer import SAMPLER_IDS, BudgetPolicy, serialize_buffer
+from temcgl.cli import main
 from temcgl.config import config_hash, parse_config, serialize_config
 from temcgl.coverage import singleton_coverage_table
 from temcgl.graph import generate_sbm, induced_subgraph, normalize_adjacency
@@ -271,6 +275,43 @@ def _config_digests() -> dict[str, str]:
     return out
 
 
+_STUDY_RUN_INI = """[dataset]
+kind = sbm
+block_sizes = 25, 25, 25, 25
+p_in = 0.3
+p_out = 0.02
+feature_dim = 6
+feature_shift = 3.0
+
+[propagation]
+variant = power
+hops = 2
+
+[model]
+hidden_dims = 8
+
+[run]
+classes_per_task = 2
+epochs = 15
+patience = 5
+
+[study]
+samplers = uniform, coverage_max
+budget_fractions = 0.05, 0.2
+seeds = 0, 1, 2
+"""
+
+
+def _study_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
+    config = tmp / "study.ini"
+    config.write_text(_STUDY_RUN_INI, encoding="utf-8")
+    assert main(["sample-study", "--config", str(config), "--out", str(tmp / "out")]) == 0
+    return {
+        f"study/{name}": (np.frombuffer((tmp / "out" / name).read_bytes(), dtype=np.uint8),)
+        for name in ("study.csv",)
+    }
+
+
 GOLDEN = {
     "sbm/four-equal": "531124158cf6953ce7750c10b54de9f4ef7afae7bde2f6f521957694142f3ae7",
     "normalize/four-equal/True": "bfe2fc879cac80ebe1741e0b06b60dd710984188de780d3d7a2c2368b78bc5cb",
@@ -348,12 +389,14 @@ GOLDEN = {
     "config/study-num_seeds": "6a1a660f4203a6759abf2f4d0d63103b988bedee48e277d158e439d578c3b10d",
     "config/readme-quick-start": "81dee34dddabb25ce98c8c37f3dae680ef2e3041fe304e16e583a30fcf69444c",
     "config/grid": "3d386d0f906d4e9f56bcb515c80b43b25e2255826b569b3aa8eaf87e2ef66a3b",
+    "study/study.csv": "6795f5314d5f1006b11523134ce6c0ec4c44fb748af1789607a6845e06025c89",
 }
 
 
 @pytest.fixture(scope="module")
-def produced() -> dict[str, str]:
-    return {**{k: _digest(*v) for k, v in _golden_arrays().items()}, **_config_digests()}
+def produced(tmp_path_factory) -> dict[str, str]:
+    arrays = {**_golden_arrays(), **_study_arrays(tmp_path_factory.mktemp("study"))}
+    return {**{k: _digest(*v) for k, v in arrays.items()}, **_config_digests()}
 
 
 def test_golden_cases_are_all_pinned(produced):
