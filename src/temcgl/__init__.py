@@ -11,7 +11,8 @@ IO), :mod:`temcgl.propagation` (embedding strategies), :mod:`temcgl.coverage`
 (receptive-field coverage and the coverage-maximising sampler),
 :mod:`temcgl.buffer` (the embedding memory), :mod:`temcgl.model` (MLP head,
 its training loop, masked accuracy, optimisers, gradient-identity checks),
-:mod:`temcgl.harness` (task sequences, metrics, runs, studies),
+:mod:`temcgl.harness` (task sequences, metrics, runs, and studies: a grid
+of run-config overrides with one row per run),
 :mod:`temcgl.config` / :mod:`temcgl.cli` (experiment files and the ``temcgl``
 command).
 """
@@ -33,10 +34,11 @@ from .harness import (
     AccuracyMatrix,
     RunConfig,
     RunResult,
+    StudyRow,
     TaskSpec,
     build_task_sequence,
     run_continual,
-    run_sample_study,
+    run_study,
 )
 from .model import (
     MlpParams,
@@ -70,6 +72,7 @@ __all__ = [
     "PropagationStrategy",
     "RunConfig",
     "RunResult",
+    "StudyRow",
     "TEMatrix",
     "TaskSpec",
     "__version__",
@@ -94,7 +97,7 @@ __all__ = [
     "pseudo_gradient_check",
     "receptive_field",
     "run_continual",
-    "run_sample_study",
+    "run_study",
     "save_buffer",
     "save_graph_files",
     "save_model",

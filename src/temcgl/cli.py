@@ -3,7 +3,7 @@
 Subcommands:
 
   run                one continual-learning run; CSVs, checkpoints, buffer
-  sample-study       sampler x budget x seed grid, aggregated to study.csv
+  sample-study       sampler x budget x seed grid: study_runs.csv, study.csv
   check-theorem      randomized audit of the gradient-decomposition identity
   export-embeddings  dump embeddings or hidden activations for one task
   gen-sbm            materialise a synthetic dataset as text files
@@ -35,17 +35,19 @@ from .config import (
     load_dataset,
     write_manifest,
 )
-from .buffer import save_buffer
+from .buffer import BudgetPolicy, save_buffer
 from .graph import build_graph, normalize_adjacency, save_graph_files
 from .harness import (
     _embed_task,
     build_task_sequence,
     run_continual,
-    run_sample_study,
+    run_study,
+    study_summary,
     write_accuracy_matrix,
     write_buffer_stats,
     write_curves,
     write_embeddings,
+    write_study_runs,
     write_study_table,
 )
 from .model import load_model, mlp_hidden, pseudo_gradient_check, save_model
@@ -120,21 +122,17 @@ def cmd_sample_study(args) -> int:
     if cfg.study is None:
         raise ConfigError("sample-study needs a [study] section in the config")
     out = _out_dir(args, cfg)
-    cells = run_sample_study(
-        dataset_loader(cfg.dataset),
-        cfg.run,
-        samplers=cfg.study.samplers,
-        budget_fractions=cfg.study.budget_fractions,
-        seeds=cfg.study.seeds,
-        jobs=args.jobs,
-    )
+    budgets = [BudgetPolicy(fraction=f) for f in cfg.study.budget_fractions]
+    grid = {"sampler_id": cfg.study.samplers, "budget": budgets}
+    base = dataclasses.replace(cfg.run, regime="replay")  # samplers are inert otherwise
+    rows = run_study(dataset_loader(cfg.dataset), base, grid, cfg.study.seeds, jobs=args.jobs)
     manifest_hash = write_manifest(out, cfg)
-    write_study_table(out / "study.csv", cells, manifest_hash)
-    for c in cells:
+    write_study_table(out / "study.csv", rows, manifest_hash)
+    write_study_runs(out / "study_runs.csv", rows, manifest_hash)
+    for point, mean_aa, std_aa, mean_coverage, _, _ in study_summary(rows):
         print(
-            f"sampler={c.sampler_id} fraction={c.budget_fraction:g}: "
-            f"mean_aa={c.mean_aa:.6g} (std {c.std_aa:.3g}), "
-            f"mean_coverage={c.mean_coverage:.6g}"
+            f"sampler={point['sampler_id']} fraction={point['budget'].fraction:g}: "
+            f"mean_aa={mean_aa:.6g} (std {std_aa:.3g}), mean_coverage={mean_coverage:.6g}"
         )
     print(f"study table in {out / 'study.csv'}")
     return 0

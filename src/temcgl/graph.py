@@ -464,22 +464,6 @@ def save_edge_list(g: Graph, path) -> None:
     np.savetxt(path, np.column_stack([rows[upper], g.indices[upper]]), fmt="%d")
 
 
-def load_feature_table(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.float64, comments="#", ndmin=2)
-
-
-def save_feature_table(features: np.ndarray, path) -> None:
-    np.savetxt(path, features, fmt="%.17g")
-
-
-def load_label_table(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.int64, comments="#", ndmin=1)
-
-
-def save_label_table(labels: np.ndarray, path) -> None:
-    np.savetxt(path, labels, fmt="%d")
-
-
 def load_split_file(path) -> np.ndarray:
     codes = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -498,8 +482,8 @@ def save_split_file(split: np.ndarray, path) -> None:
 
 def load_graph_files(edges_path, features_path, labels_path, split_path) -> Graph:
     """Assemble a graph from the four text files, cross-checking lengths."""
-    features = load_feature_table(features_path)
-    labels = load_label_table(labels_path)
+    features = np.loadtxt(features_path, dtype=np.float64, comments="#", ndmin=2)
+    labels = np.loadtxt(labels_path, dtype=np.int64, comments="#", ndmin=1)
     split = load_split_file(split_path)
     edges = load_edge_list(edges_path)
     n = features.shape[0]
@@ -523,7 +507,7 @@ def save_graph_files(g: Graph, directory) -> dict[str, Path]:
         "split": directory / "split.txt",
     }
     save_edge_list(g, paths["edges"])
-    save_feature_table(g.features, paths["features"])
-    save_label_table(g.labels, paths["labels"])
+    np.savetxt(paths["features"], g.features, fmt="%.17g")
+    np.savetxt(paths["labels"], g.labels, fmt="%d")
     save_split_file(g.split, paths["split"])
     return paths

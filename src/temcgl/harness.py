@@ -6,16 +6,19 @@ visible subgraph, trains the shared head (optionally rehearsing buffered
 embeddings), and then scores every task seen so far. Because embeddings are
 produced by a parameter-free operator, rows stored in the buffer stay valid
 across tasks and replay needs no stored neighbourhoods. The head's training
-loop and masked accuracy live in `model` and are re-exported here.
+loop and masked accuracy live in `model` and are re-exported here. A study
+runs one base config at every point of a grid of `RunConfig` overrides and
+at every seed, and returns one row per run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,6 +164,25 @@ class AccuracyMatrix:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Everything one continual-learning run needs besides its graph.
+
+    `strategy` embeds each visible subgraph. `regime` trains the head on the
+    task's rows plus buffered ones ("replay"), on the task's rows alone
+    ("finetune"), or afresh on every seen task ("joint", the upper bound).
+    `scenario` scores a task over every class seen ("class_il") or over its
+    own ("task_il"). Each task takes the next `classes_per_task` labels.
+    Under "replay", `sampler_id` stores `budget` rows per task, rehearsed at
+    loss weight `replay_lambda`. `class_balance` weights the loss by inverse
+    class frequency. `coverage_hops` is the ball radius of `coverage_max`
+    and of the coverage ratio (None: the strategy's hops). Earlier tasks'
+    nodes stay visible under `inter_task_edges="keep_seen"` and are dropped
+    under "drop_all". `self_loops` is "on", "off" or "auto" (the strategy's
+    default). The MLP head of `hidden_dims` trains by `optimizer` ("adam" or
+    "sgd") at `lr` for at most `epochs` per task, stopping after `patience`
+    epochs without a better validation accuracy. `seed` seeds the head's
+    initialisation, the samplers and the joint restarts.
+    """
+
     strategy: PropagationStrategy
     regime: str = "replay"
     scenario: str = "class_il"
@@ -229,6 +251,15 @@ class BufferStat:
 
 @dataclass
 class RunResult:
+    """What `run_continual` returns.
+
+    `matrix` holds each seen task's accuracy after each task, and `aa` and
+    `af` the average accuracy and forgetting after each task (`af[0]` is
+    None). `buffer_stats` has one `BufferStat` per task, `params_per_task` a
+    copy of the head after each task, `buffer` the final memory and `tasks`
+    the task sequence.
+    """
+
     matrix: AccuracyMatrix
     aa: list[float]
     af: list[float | None]
@@ -373,8 +404,8 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.6g}"
+def _fmt(value: float | None) -> str:
+    return "NA" if value is None or np.isnan(value) else f"{float(value):.6g}"
 
 
 def _write_csv(path, manifest_hash: str, header: str, rows) -> None:
@@ -384,24 +415,14 @@ def _write_csv(path, manifest_hash: str, header: str, rows) -> None:
 
 
 def write_accuracy_matrix(path, matrix: AccuracyMatrix, manifest_hash: str) -> None:
-    T = matrix.num_tasks
-    header = "after_task," + ",".join(f"task_{j}" for j in range(T))
-    rows = []
-    for i in range(T):
-        cells = [str(i)]
-        for j in range(T):
-            v = matrix.values[i, j]
-            cells.append("NA" if np.isnan(v) else _fmt(v))
-        rows.append(cells)
+    header = "after_task," + ",".join(f"task_{j}" for j in range(matrix.num_tasks))
+    rows = [[str(i), *map(_fmt, row)] for i, row in enumerate(matrix.values)]
     _write_csv(path, manifest_hash, header, rows)
 
 
 def write_curves(path, aa, af, manifest_hash: str) -> None:
     header = "task_index,average_accuracy,average_forgetting"
-    rows = [
-        [str(i), _fmt(a), "NA" if f is None else _fmt(f)]
-        for i, (a, f) in enumerate(zip(aa, af))
-    ]
+    rows = [[str(i), _fmt(a), _fmt(f)] for i, (a, f) in enumerate(zip(aa, af))]
     _write_csv(path, manifest_hash, header, rows)
 
 
@@ -423,106 +444,99 @@ def write_embeddings(path, node_ids, labels, values, manifest_hash: str) -> None
     _write_csv(path, manifest_hash, header, rows)
 
 
-def write_study_table(path, cells: Sequence["StudyCell"], manifest_hash: str) -> None:
+def _sample_point(point) -> list[str]:
+    return [point["sampler_id"], _fmt(point["budget"].fraction)]
+
+
+def study_summary(rows: Sequence["StudyRow"]) -> list[tuple]:
+    """`(point, mean_aa, std_aa, mean_coverage, std_coverage, num_seeds)` per
+    grid point of `rows`, in order: mean and population standard deviation
+    over the point's seeds of final AA and of mean coverage."""
+    out = []
+    for point, group in itertools.groupby(rows, key=lambda r: r.point):
+        aa, cov = np.array([(r.final_aa, r.mean_coverage) for r in group]).T
+        out.append((point, aa.mean(), aa.std(), cov.mean(), cov.std(), len(aa)))
+    return out
+
+
+def write_study_table(path, rows: Sequence["StudyRow"], manifest_hash: str) -> None:
+    """study.csv: per (sampler, budget) point, aggregated over its seeds."""
     header = "sampler,budget_fraction,mean_aa,std_aa,mean_coverage,std_coverage,num_seeds"
-    rows = [
-        [
-            c.sampler_id,
-            _fmt(c.budget_fraction),
-            _fmt(c.mean_aa),
-            _fmt(c.std_aa),
-            _fmt(c.mean_coverage),
-            _fmt(c.std_coverage),
-            str(c.num_seeds),
-        ]
-        for c in cells
+    lines = [[*_sample_point(p), *map(_fmt, stats), str(n)] for p, *stats, n in study_summary(rows)]
+    _write_csv(path, manifest_hash, header, lines)
+
+
+def write_study_runs(path, rows: Sequence["StudyRow"], manifest_hash: str) -> None:
+    """study_runs.csv: one line per run of a (sampler, budget) study."""
+    header = "sampler,budget_fraction,seed,final_aa,final_af,mean_coverage,buffer_bytes"
+    lines = [
+        [*_sample_point(r.point), str(r.seed), _fmt(r.final_aa), _fmt(r.final_af),
+         _fmt(r.mean_coverage), str(r.buffer_bytes)]
+        for r in rows
     ]
-    _write_csv(path, manifest_hash, header, rows)
+    _write_csv(path, manifest_hash, header, lines)
 
 
 # ---------------------------------------------------------------------------
-# sampler studies
+# studies
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class StudyCell:
-    """Aggregate over seeds for one (sampler, budget fraction) pair."""
+class StudyRow:
+    """One run of a study: its grid `point` (`RunConfig` field -> value) and
+    `seed`, its final average accuracy and forgetting (`final_af` is None
+    with one task), the buffer's coverage ratio averaged over tasks and its
+    footprint in bytes after the last task."""
 
-    sampler_id: str
-    budget_fraction: float
-    mean_aa: float
-    std_aa: float
+    point: dict
+    seed: int
+    final_aa: float
+    final_af: float | None
     mean_coverage: float
-    std_coverage: float
-    num_seeds: int
+    buffer_bytes: int
 
 
-def _study_unit(args) -> tuple[float, float]:
+def _study_unit(unit: tuple) -> StudyRow:
     # Module-level so process pools can pickle it.
-    dataset, base, sampler_id, budget, seed = args
-    cfg = dataclasses.replace(
-        base, regime="replay", sampler_id=sampler_id, budget=budget, seed=seed
-    )
-    result = run_continual(dataset(seed), cfg)
-    mean_cov = float(np.mean([s.coverage for s in result.buffer_stats]))
-    return result.aa[-1], mean_cov
+    dataset, point, cfg = unit
+    run = run_continual(dataset(cfg.seed), cfg)
+    coverage = float(np.mean([s.coverage for s in run.buffer_stats]))
+    return StudyRow(point, cfg.seed, run.aa[-1], run.af[-1], coverage, run.buffer_stats[-1].bytes)
 
 
-def run_sample_study(
-    dataset: Callable[[int], Graph],
-    base: RunConfig,
-    samplers: Sequence[str],
-    budget_fractions: Sequence[float],
-    seeds: Sequence[int],
-    jobs: int = 1,
-) -> list[StudyCell]:
-    """Replay runs over a (sampler x budget x seed) grid, aggregated per cell.
+def run_study(
+    dataset: Callable[[int], Graph], base: RunConfig, grid: Mapping[str, Sequence],
+    seeds: Sequence[int], jobs: int = 1,
+) -> list[StudyRow]:
+    """One row per run of `base` at each point of `grid` and each seed.
 
-    `dataset` maps a seed to the graph for that repetition; with `jobs > 1`
-    it must be picklable. The regime is forced to "replay" - samplers are
-    inert otherwise - and results come back in grid order regardless of
-    worker scheduling.
+    `grid` maps `RunConfig` field names to their values; its points are the
+    product in order. A run is `dataclasses.replace(base, **point,
+    seed=seed)` on `dataset(seed)`, so runs at one seed share a graph.
+    Rows come back in grid order, seeds innermost, whatever `jobs` (worker
+    processes; `dataset` must then pickle) is. Every config is built, and so
+    checked, before any run. A repeated axis value would count a run twice.
     """
-    samplers = tuple(samplers)
-    # built up front, so a bad fraction fails before any unit runs
-    budgets = tuple(BudgetPolicy(fraction=float(f)) for f in budget_fractions)
-    seeds = tuple(int(s) for s in seeds)
-    if not samplers or not budgets or not seeds:
-        raise ValueError("samplers, budget_fractions, and seeds must be non-empty")
-    for s in samplers:
-        if s not in SAMPLER_IDS:
-            raise ValueError(f"unknown sampler {s!r}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"seed {seed} is repeated; each seed must be one independent run")
+    for name in grid:
+        if name == "seed" or name not in RunConfig.__dataclass_fields__:
+            raise ValueError(f"{name!r} is not a grid axis: name RunConfig fields but seed")
+    axes = {**{name: tuple(v) for name, v in grid.items()}, "seed": tuple(map(int, seeds))}
+    for name, values in axes.items():
+        if not values:
+            raise ValueError(f"the {name} axis is empty")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{name} {value!r} is repeated; each run must be distinct")
 
-    units = [(dataset, base, s, b, seed) for s in samplers for b in budgets for seed in seeds]
+    # zipping a combination with `grid` leaves out the last axis, the seed
+    units = [
+        (dataset, dict(zip(grid, combo)), dataclasses.replace(base, **dict(zip(axes, combo))))
+        for combo in itertools.product(*axes.values())
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_study_unit, units))
-    else:
-        outcomes = [_study_unit(u) for u in units]
-
-    cells = []
-    k = 0
-    for s in samplers:
-        for b in budgets:
-            chunk = outcomes[k : k + len(seeds)]
-            k += len(seeds)
-            aas = np.array([c[0] for c in chunk])
-            covs = np.array([c[1] for c in chunk])
-            cells.append(
-                StudyCell(
-                    sampler_id=s,
-                    budget_fraction=b.fraction,
-                    mean_aa=float(aas.mean()),
-                    std_aa=float(aas.std()),
-                    mean_coverage=float(covs.mean()),
-                    std_coverage=float(covs.std()),
-                    num_seeds=len(seeds),
-                )
-            )
-    return cells
+            return list(pool.map(_study_unit, units))
+    return [_study_unit(u) for u in units]

@@ -371,8 +371,27 @@ def test_cli_sample_study(tmp_path):
     assert table[1].startswith("sampler,")
     assert len(table) == 2 + 4  # manifest + header + 2 samplers x 2 fractions
 
+    runs = (out1 / "study_runs.csv").read_text().splitlines()
+    assert runs[1] == "sampler,budget_fraction,seed,final_aa,final_af,mean_coverage,buffer_bytes"
+    # one row per sampler x fraction x seed, seeds innermost
+    assert [tuple(line.split(",")[:3]) for line in runs[2:]] == [
+        (s, f, seed) for s in ("uniform", "coverage_max") for f in ("0.1", "0.3") for seed in "01"
+    ]
+
     assert main(["sample-study", "--config", str(cfg_path), "--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
+    for name in ("study.csv", "study_runs.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_sample_study_refuses_a_repeated_sampler(tmp_path, monkeypatch, capsys):
+    def never_called(dataset, seed):
+        raise AssertionError("a graph was built before the grid was checked")
+
+    monkeypatch.setattr(temcgl.config, "load_dataset", never_called)
+    text = STUDY_INI.replace("samplers = uniform, coverage_max", "samplers = uniform, uniform")
+    cfg_path = _write(tmp_path, text)
+    assert main(["sample-study", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 1
+    assert "sampler_id 'uniform' is repeated" in capsys.readouterr().err
 
 
 def test_cli_export_embeddings(tmp_path):

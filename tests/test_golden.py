@@ -308,7 +308,7 @@ def _study_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
     assert main(["sample-study", "--config", str(config), "--out", str(tmp / "out")]) == 0
     return {
         f"study/{name}": (np.frombuffer((tmp / "out" / name).read_bytes(), dtype=np.uint8),)
-        for name in ("study.csv",)
+        for name in ("study.csv", "study_runs.csv")
     }
 
 
@@ -390,6 +390,7 @@ GOLDEN = {
     "config/readme-quick-start": "81dee34dddabb25ce98c8c37f3dae680ef2e3041fe304e16e583a30fcf69444c",
     "config/grid": "3d386d0f906d4e9f56bcb515c80b43b25e2255826b569b3aa8eaf87e2ef66a3b",
     "study/study.csv": "6795f5314d5f1006b11523134ce6c0ec4c44fb748af1789607a6845e06025c89",
+    "study/study_runs.csv": "292ed5f5007e20eb78f984db4f7a9a35328ba0dcf6cd72b996e63167d990a6a9",
 }
 
 

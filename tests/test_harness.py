@@ -12,15 +12,16 @@ from temcgl import model as model_module
 from temcgl.harness import (
     AccuracyMatrix,
     RunConfig,
-    StudyCell,
+    StudyRow,
     build_task_sequence,
     masked_accuracy,
     run_continual,
-    run_sample_study,
+    run_study,
     visible_nodes,
     write_accuracy_matrix,
     write_buffer_stats,
     write_curves,
+    write_study_runs,
     write_study_table,
 )
 from temcgl.model import MlpParams, _Workspace
@@ -360,72 +361,109 @@ def _study_dataset(seed: int):
     )
 
 
-def test_run_sample_study_grid(tmp_path):
+def _sample_grid(samplers, fractions) -> dict:
+    return {"sampler_id": samplers, "budget": [BudgetPolicy(fraction=f) for f in fractions]}
+
+
+def test_run_study_grid(tmp_path):
     base = _cfg(classes_per_task=2, epochs=25, hidden_dims=(16,))
-    cells = run_sample_study(
-        _study_dataset,
-        base,
-        samplers=("uniform", "coverage_max"),
-        budget_fractions=(0.1, 0.5),
-        seeds=(0, 1),
+    rows = run_study(
+        _study_dataset, base, _sample_grid(("uniform", "coverage_max"), (0.1, 0.5)), seeds=(0, 1)
     )
-    assert len(cells) == 4
-    assert all(isinstance(c, StudyCell) for c in cells)
-    assert [(c.sampler_id, c.budget_fraction) for c in cells] == [
-        ("uniform", 0.1),
-        ("uniform", 0.5),
-        ("coverage_max", 0.1),
-        ("coverage_max", 0.5),
+    assert len(rows) == 8
+    assert all(isinstance(r, StudyRow) for r in rows)
+    # grid order, seeds innermost
+    assert [(r.point["sampler_id"], r.point["budget"].fraction, r.seed) for r in rows] == [
+        (s, f, seed) for s in ("uniform", "coverage_max") for f in (0.1, 0.5) for seed in (0, 1)
     ]
-    assert all(c.num_seeds == 2 for c in cells)
-    assert all(0.0 <= c.mean_aa <= 1.0 for c in cells)
-    assert all(0.0 < c.mean_coverage <= 1.0 for c in cells)
+    assert all(set(r.point) == {"sampler_id", "budget"} for r in rows)
+    assert all(0.0 <= r.final_aa <= 1.0 for r in rows)
+    assert all(-1.0 <= r.final_af <= 1.0 for r in rows)  # two tasks, so never None
+    assert all(0.0 < r.mean_coverage <= 1.0 for r in rows)
+    assert all(r.buffer_bytes > 0 for r in rows)
 
     path = tmp_path / "study.csv"
-    write_study_table(path, cells, "beef")
+    write_study_table(path, rows, "beef")
     lines = path.read_text().splitlines()
     assert lines[1] == "sampler,budget_fraction,mean_aa,std_aa,mean_coverage,std_coverage,num_seeds"
     assert len(lines) == 6
+    first = lines[2].split(",")
+    assert first[:2] == ["uniform", "0.1"] and first[-1] == "2"
+    assert float(first[2]) == pytest.approx((rows[0].final_aa + rows[1].final_aa) / 2, abs=1e-6)
+
+    path = tmp_path / "study_runs.csv"
+    write_study_runs(path, rows, "beef")
+    lines = path.read_text().splitlines()
+    assert lines[1] == "sampler,budget_fraction,seed,final_aa,final_af,mean_coverage,buffer_bytes"
+    assert len(lines) == 2 + 8
+    assert lines[3].split(",")[:3] == ["uniform", "0.1", "1"]
+    assert int(lines[3].split(",")[-1]) == rows[1].buffer_bytes
 
 
-def test_run_sample_study_parallel_matches_serial():
+def test_run_study_parallel_matches_serial():
     base = _cfg(classes_per_task=2, epochs=15, hidden_dims=(16,))
-    serial = run_sample_study(
-        _study_dataset, base, samplers=("uniform",), budget_fractions=(0.2,), seeds=(0, 1), jobs=1
-    )
-    parallel = run_sample_study(
-        _study_dataset, base, samplers=("uniform",), budget_fractions=(0.2,), seeds=(0, 1), jobs=2
-    )
+    grid = _sample_grid(("uniform",), (0.2,))
+    serial = run_study(_study_dataset, base, grid, seeds=(0, 1), jobs=1)
+    parallel = run_study(_study_dataset, base, grid, seeds=(0, 1), jobs=2)
     assert serial == parallel
 
 
-def test_run_sample_study_rejects_bad_fraction_before_any_run():
-    calls = []
+def _never_called(seed: int):
+    raise AssertionError("the dataset was built before the grid was checked")
 
-    def dataset(seed: int):
-        calls.append(seed)
-        return _study_dataset(seed)
 
+def test_run_study_rejects_bad_value_before_any_run():
+    # the first point is valid, so a check made run by run would build a graph
+    with pytest.raises(ValueError, match="unknown sampler 'nope'"):
+        run_study(_never_called, _cfg(), {"sampler_id": ("uniform", "nope")}, seeds=(0, 1, 2))
     with pytest.raises(ValueError, match="fraction"):
-        run_sample_study(
-            dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.1, 1.5), seeds=(0, 1, 2)
-        )
-    assert calls == []
+        run_study(_never_called, _cfg(), _sample_grid(("uniform",), (0.1, 1.5)), seeds=(0, 1, 2))
 
 
-def test_run_sample_study_rejects_repeated_seeds_before_any_run():
-    calls = []
-
-    def dataset(seed: int):
-        calls.append(seed)
-        return _study_dataset(seed)
-
+def test_run_study_rejects_repeated_seeds_before_any_run():
     # a repeat would count as one more independent run and shrink the spread
     with pytest.raises(ValueError, match="seed 1 is repeated"):
-        run_sample_study(
-            dataset, _cfg(), samplers=("uniform",), budget_fractions=(0.2,), seeds=(1, 2, 1)
-        )
-    assert calls == []
+        run_study(_never_called, _cfg(), _sample_grid(("uniform",), (0.2,)), seeds=(1, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"sampler_id": ("uniform", "uniform")}, "sampler_id 'uniform' is repeated"),
+        (
+            {"budget": (BudgetPolicy(fraction=0.2), BudgetPolicy(fraction=0.2))},
+            r"budget BudgetPolicy\(count=None, fraction=0.2\) is repeated",
+        ),
+        ({"epochs": (5, 10, 5)}, "epochs 5 is repeated"),
+        ({"sampler_id": ()}, "the sampler_id axis is empty"),
+        ({"sampler_ids": ("uniform",)}, "'sampler_ids' is not a grid axis"),
+        ({"seed": (0, 1)}, "'seed' is not a grid axis"),
+    ],
+    ids=["repeated-sampler", "repeated-budget", "repeated-int", "empty", "not-a-field", "seed"],
+)
+def test_run_study_refuses_a_bad_grid_before_any_run(grid, message):
+    with pytest.raises(ValueError, match=message):
+        run_study(_never_called, _cfg(), grid, seeds=(0, 1))
+
+
+def test_run_study_refuses_no_seeds_and_no_jobs():
+    with pytest.raises(ValueError, match="the seed axis is empty"):
+        run_study(_never_called, _cfg(), {"sampler_id": ("uniform",)}, seeds=())
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_study(_never_called, _cfg(), {"sampler_id": ("uniform",)}, seeds=(0,), jobs=0)
+
+
+def test_run_study_varies_any_field():
+    # axes other than sampler and budget; with one task final_af is None
+    base = _cfg(classes_per_task=4, epochs=10, hidden_dims=(8,))
+    grid = {"regime": ("finetune", "joint"), "hidden_dims": ((8,), (4, 4))}
+    rows = run_study(_study_dataset, base, grid, seeds=(3,))
+    assert [tuple(r.point.values()) for r in rows] == [
+        ("finetune", (8,)), ("finetune", (4, 4)), ("joint", (8,)), ("joint", (4, 4)),
+    ]
+    assert all(r.final_af is None and r.mean_coverage == 0.0 for r in rows)
+    joint = _cfg(classes_per_task=4, epochs=10, regime="joint", hidden_dims=(4, 4), seed=3)
+    assert rows[-1].final_aa == run_continual(_study_dataset(3), joint).aa[-1]
 
 
 def test_readme_library_example_runs(capsys):
