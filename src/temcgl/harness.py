@@ -522,7 +522,7 @@ def run_study(
         raise ValueError("jobs must be >= 1")
     for name in grid:
         if name == "seed" or name not in RunConfig.__dataclass_fields__:
-            raise ValueError(f"{name!r} is not a grid axis: name RunConfig fields but seed")
+            raise ValueError(f"{name!r} is not a grid axis; use RunConfig fields other than seed")
     axes = {**{name: tuple(v) for name, v in grid.items()}, "seed": tuple(map(int, seeds))}
     for name, values in axes.items():
         if not values:
