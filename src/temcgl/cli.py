@@ -77,12 +77,12 @@ def _load(args) -> ExperimentConfig:
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
+    """The output directory; the first file written there makes it, so a
+    command refused before then leaves none behind."""
     out = args.out or cfg.out
     if out is None:
         raise ConfigError("no output directory: pass --out or set out in [run]")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
 
 
 # ---------------------------------------------------------------------------

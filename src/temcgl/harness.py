@@ -18,7 +18,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -281,54 +281,57 @@ def _embed_task(
 
 def _graph_step(
     g: Graph, tasks: Sequence[TaskSpec], task: TaskSpec, cfg: RunConfig, buffer: MemoryBuffer
-) -> tuple[np.ndarray, TEMatrix, tuple | None, BufferStat]:
+) -> tuple[dict[int, tuple], BufferStat]:
     """The part of one task that never reads the head.
 
-    Returns the visible node ids, their embeddings, the head's batch
-    `(x, y, w, valid_x, valid_y)` (None under "joint", whose `_head_step`
-    gathers it from the evaluation embeddings) and the task's buffer
-    statistics. Under "replay" the task commits its selection to `buffer`.
+    Returns the new scored rows of every task visible now, by task id (the
+    task's own entry also holds the rows its head trains on), and the task's
+    buffer statistics. Under "replay" the task commits its selection to
+    `buffer`.
     """
     visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
-    local_train = np.searchsorted(visible, task.train_nodes)
-    batch = None
-    if cfg.regime != "joint":
-        # Reads the buffer before this task commits to it.
-        x, y, w = replay_batch(
-            tes.values[local_train], sub.labels[local_train], buffer.te, buffer.label,
-            cfg.replay_lambda, cfg.class_balance,
-        )
-        local_valid = np.searchsorted(visible, task.valid_nodes)
-        batch = (x, y, w, tes.values[local_valid], sub.labels[local_valid])
+    refreshed = tasks[: task.task_id + 1] if cfg.inter_task_edges == "keep_seen" else [task]
+    joint = cfg.regime == "joint"
+    rows = {t.task_id: _scored_rows(t, visible, tes, joint or t is task) for t in refreshed}
     cov = 0.0
     if cfg.regime == "replay":
+        local_train = np.searchsorted(visible, task.train_nodes)
         rng = component_rng(cfg.seed, f"sampler-task-{task.task_id}")
         selected = buffer.update_tem(sub, tes, task.task_id, local_train, rng, node_ids=visible)
         cov = coverage_ratio(sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train)
-    return visible, tes, batch, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
+    return rows, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
+
+
+def _scored_rows(task: TaskSpec, visible: np.ndarray, tes: TEMatrix, fit: bool) -> tuple:
+    """The rows of `task` gathered from the embeddings `tes` of `visible`: its
+    test rows, then if `fit` its train and valid rows."""
+    splits = (task.test_nodes, task.train_nodes, task.valid_nodes)[: 3 if fit else 1]
+    return tuple(tes.values[np.searchsorted(visible, nodes)] for nodes in splits)
+
+
+def _head_batch(
+    cfg: RunConfig, fit: Sequence[TaskSpec], rows: Collection[tuple], buffer: MemoryBuffer,
+    replayed: int, labels: np.ndarray,
+) -> tuple:
+    """The head's batch `(x, y, w, valid_x, valid_y)`: the train and valid rows
+    of the tasks `fit` (`_scored_rows` entries in `rows`) stacked with the
+    first `replayed` rows of `buffer`."""
+    train_x, valid_x = (np.concatenate([r[i] for r in rows]) for i in (1, 2))
+    x, y, w = replay_batch(
+        train_x, labels[np.concatenate([t.train_nodes for t in fit])],
+        buffer.te[:replayed], buffer.label[:replayed], cfg.replay_lambda, cfg.class_balance,
+    )
+    return x, y, w, valid_x, labels[np.concatenate([t.valid_nodes for t in fit])]
 
 
 def _head_step(
-    params: MlpParams, layer_dims: Sequence[int], tasks: Sequence[TaskSpec], task: TaskSpec,
-    cfg: RunConfig, batch: tuple | None, eval_te: np.ndarray, labels: np.ndarray,
+    params: MlpParams, cfg: RunConfig, seen: Sequence[TaskSpec], batch: tuple,
+    scored: tuple, labels: np.ndarray,
 ) -> tuple[MlpParams, MlpParams, list[float]]:
-    """Train one task's head on `batch` from `params` (updated in place) and score it.
-
-    Under "joint" (`batch` None) a fresh head trains on every seen task's
-    rows of `eval_te`. Returns the trained parameters, a copy that later
-    training leaves alone, and the accuracy on each seen task, in order.
-    """
-    seen = tasks[: task.task_id + 1]
+    """Train the head on `batch` from `params` (updated in place) and score
+    each task of `seen` on its `scored` test rows. Returns the trained
+    parameters, a copy that later training leaves alone, and the accuracies."""
     seen_classes = np.concatenate([t.classes for t in seen])
-    if cfg.regime == "joint":
-        # Reference upper bound: retrain from scratch on everything seen.
-        params = init_mlp(layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}"))
-        train_nodes = np.concatenate([t.train_nodes for t in seen])
-        valid_nodes = np.concatenate([t.valid_nodes for t in seen])
-        x, y, w = replay_batch(  # with no buffered rows
-            eval_te[train_nodes], labels[train_nodes], [], [], cfg.replay_lambda, cfg.class_balance
-        )
-        batch = (x, y, w, eval_te[valid_nodes], labels[valid_nodes])
     # Model selection scores the validation nodes over every class seen so
     # far, regardless of scenario. A within-task mask saturates while the new
     # classes' logits still trail the old ones, which would freeze the head
@@ -337,10 +340,10 @@ def _head_step(
     params = _train_head(params, optimizer, *batch, seen_classes, cfg.epochs, cfg.patience)
     accs = [
         masked_accuracy(
-            params, eval_te[prev.test_nodes], labels[prev.test_nodes],
+            params, rows[0], labels[prev.test_nodes],
             np.asarray(prev.classes) if cfg.scenario == "task_il" else seen_classes,
         )
-        for prev in seen
+        for prev, rows in zip(seen, scored)
     ]
     return params, params.copy(), accs
 
@@ -361,10 +364,12 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
 
     Each task's `_graph_step` never reads the head, so it runs on the calling
     thread while one worker thread runs the previous task's `_head_step`.
-    The calling thread alone writes the result: once that head step is done,
-    it records the step's outputs and then writes the evaluation embeddings
-    the step read. Each side makes the same calls in the same order as a
-    sequential loop, so every output is bit-identical to one.
+    The graph step also gathers the rows that head steps score. The calling
+    thread alone reads and writes the buffer and writes the result. Once
+    that head step is done, it records the step's outputs, stores the new
+    scored rows and builds this task's batch, so one batch is alive at a
+    time. Each side makes the same calls in the same order as a sequential
+    loop, so every output is bit-identical to one.
     """
     tasks = build_task_sequence(g, cfg.classes_per_task)
     te_dim = cfg.strategy.hidden_dim if cfg.strategy.variant == "reservoir" else g.feature_dim
@@ -375,26 +380,38 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     )
     run = RunResult(AccuracyMatrix.empty(len(tasks)), [], [], [], [], buffer, tasks)
 
-    # Embeddings used at evaluation time, aligned with global node ids. Under
-    # "keep_seen" each task refreshes every visible row; under "drop_all" a
-    # row keeps the value computed when its task was current.
-    eval_te = np.zeros((g.num_nodes, te_dim))
-
+    # Task id -> the rows of that task a head step reads. Under "keep_seen"
+    # each task regathers every seen task's entry; under "drop_all" an entry
+    # keeps the rows of its own task. A head step may hold an entry, so it is
+    # replaced, never written into.
+    scored: dict[int, tuple] = {}
+    joint = cfg.regime == "joint"
     head = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for task in tasks:
+            replayed = len(buffer)  # the rows this task's head replays
             try:
-                visible, tes, batch, stat = _graph_step(g, tasks, task, cfg, buffer)
+                rows, stat = _graph_step(g, tasks, task, cfg, buffer)
             finally:
-                # The previous task's head reads eval_te, and its error, if
-                # any, comes before this task's, as in a sequential loop.
+                # The next batch waits for the previous head step, whose
+                # error, if any, comes before this task's, as in a
+                # sequential loop.
                 if head is not None:
                     params = _record_head(run, task.task_id - 1, head.result())
             run.buffer_stats.append(stat)
-            eval_te[visible] = tes.values
+            for task_id, entry in rows.items():  # outside "joint", test rows only
+                scored[task_id] = entry if joint else entry[:1]
+            seen = tasks[: task.task_id + 1]
+            if joint:
+                # Reference upper bound: retrain from scratch on everything seen.
+                params = init_mlp(layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}"))
+            # the head trains on every seen task's rows under "joint", else on this task's
+            fit, fit_rows = (seen, scored.values()) if joint else ([task], [rows[task.task_id]])
+            batch = _head_batch(cfg, fit, fit_rows, buffer, replayed, g.labels)
             head = pool.submit(
-                _head_step, params, layer_dims, tasks, task, cfg, batch, eval_te, g.labels
+                _head_step, params, cfg, seen, batch, tuple(scored.values()), g.labels
             )
+            del rows, fit_rows, batch  # the next graph step runs without them
         _record_head(run, len(tasks) - 1, head.result())
     return run
 

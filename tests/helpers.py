@@ -334,6 +334,17 @@ def oracle_nearest_centroid(candidates, tes_values, labels, n: int) -> np.ndarra
     return np.array(picks, dtype=np.int64)
 
 
+def oracle_reservoir_pass(candidates, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The reservoir sampler as one in-order loop with one draw per
+    candidate past the first `n`, each write landing as it is drawn."""
+    slots = np.empty(min(n, len(candidates)), dtype=np.int64)
+    for seen, v in enumerate(candidates):
+        j = seen if seen < n else int(rng.integers(0, seen + 1))
+        if j < n:
+            slots[j] = v
+    return slots
+
+
 # ---------------------------------------------------------------------------
 # sequential run oracle
 # ---------------------------------------------------------------------------
@@ -364,7 +375,8 @@ def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
 
     # Embeddings used at evaluation time, aligned with global node ids. Under
     # "keep_seen" each task refreshes every visible row; under "drop_all" a
-    # row keeps the value computed when its task was current.
+    # row keeps the value computed when its task was current. The package
+    # keeps only the rows it scores; this full matrix is the plain reference.
     eval_te = np.zeros((g.num_nodes, te_dim))
 
     matrix = AccuracyMatrix.empty(len(tasks))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from temcgl.buffer import (
     BudgetPolicy,
     MemoryBuffer,
+    _reservoir_pass,
     load_buffer,
     sample_nearest_centroid,
     sample_uniform,
@@ -17,7 +18,7 @@ from temcgl.buffer import (
 from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.propagation import PropagationStrategy, TEMatrix, compute_tes
 
-from helpers import oracle_nearest_centroid, random_edges, star_edges
+from helpers import oracle_nearest_centroid, oracle_reservoir_pass, random_edges, star_edges
 
 
 def _toy_task(num_nodes: int = 12, seed: int = 0):
@@ -137,6 +138,21 @@ def test_nearest_centroid_matches_the_round_robin_oracle(seed, dim, coarse):
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), num=st.integers(0, 60), extra=st.integers(-60, 3))
+def test_reservoir_pass_matches_the_loop_oracle(seed, num, extra):
+    # Small budgets make many candidates land on the same slot, so the last
+    # write to a slot must win; the generator must end where the loop's does.
+    n = max(0, num + extra)
+    candidates = np.random.default_rng(seed).permutation(3 * num)[:num].astype(np.int64)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _reservoir_pass(candidates, n, rng)
+    want = oracle_reservoir_pass(candidates, n, oracle_rng)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.integers(0, 2**40) == oracle_rng.integers(0, 2**40)
+
+
 def test_reservoir_stream_is_uniform():
     g, tes = _toy_task(num_nodes=10)
     counts = np.zeros(10)
@@ -170,6 +186,26 @@ def test_update_tem_uniform_records_entries():
     # stored rows are copies, not views
     tes.values[selected[0]] += 100.0
     assert buf.te[0, 0] != tes.values[selected[0]][0]
+
+
+def test_commits_write_in_place_and_copy_only_when_the_storage_grows():
+    g, tes = _toy_task(num_nodes=12)
+    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
+    assert buf.te.shape == (0, 0)
+    picks, storage, held = [], [], []
+    for task in range(5):
+        picks.append(buf.update_tem(g, tes, task, np.arange(12), np.random.default_rng(task)))
+        storage.append(buf.te.base)
+        held.append((buf.te, buf.te.copy()))
+    # a column read before a commit keeps its rows, grown storage or not
+    assert all(np.array_equal(view, rows) for view, rows in held)
+    # room for 2, 4, 8 and 16 rows: the fourth commit fits in the third's storage
+    assert [b is a for a, b in zip(storage, storage[1:])] == [False, False, True, False]
+    chosen = np.concatenate(picks)
+    np.testing.assert_array_equal(buf.te, tes.values[chosen])
+    np.testing.assert_array_equal(buf.node_id, chosen)
+    np.testing.assert_array_equal(buf.task_id, np.repeat(np.arange(5), 2))
+    assert buf.te.shape == (10, tes.dim) and len(buf) == 10
 
 
 def test_update_tem_rejects_repeat_task():

@@ -394,6 +394,16 @@ def test_cli_sample_study_refuses_a_repeated_sampler(tmp_path, monkeypatch, caps
     assert "sampler_id 'uniform' is repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,bad", [
+    ("samplers = uniform, coverage_max", "samplers = uniform, uniform"),
+    ("budget_fractions = 0.1, 0.3", "budget_fractions = 0.1, 1.5"),
+], ids=["repeated-sampler", "fraction-above-one"])
+def test_cli_sample_study_refused_grid_leaves_no_output_dir(tmp_path, old, bad):
+    cfg_path = _write(tmp_path, STUDY_INI.replace(old, bad))
+    assert main(["sample-study", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 1
+    assert not (tmp_path / "rep").exists()
+
+
 def test_cli_export_embeddings(tmp_path):
     cfg_path = _write(tmp_path, RUN_INI)
     run_dir = tmp_path / "run"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,26 @@ def test_drop_all_inter_task_edges_runs_deterministically():
     again = run_continual(g, cfg)
     np.testing.assert_array_equal(res.matrix.values, again.matrix.values)
     assert not np.isnan(res.matrix.values[1, 0])
+
+
+def test_run_working_set_stays_below_one_n_by_dim_matrix():
+    # A run holds each task's scored rows, one head batch and the buffer,
+    # never an array over every node. Under drop_all a task sees 300 of the
+    # 4,800 nodes, so the whole run fits in less than one n x dim matrix.
+    g = generate_sbm((150,) * 32, p_in=0.05, p_out=0.001, feature_dim=8, feature_shift=4.0,
+                     seed=0)
+    cfg = _cfg(
+        strategy=PropagationStrategy("reservoir", 2, hidden_dim=128, seed=1),
+        sampler_id="uniform", budget=BudgetPolicy(count=2), inter_task_edges="drop_all",
+        epochs=5, patience=5,
+    )
+    tracemalloc.start()
+    try:
+        run_continual(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.num_nodes * 128 * 8
 
 
 def test_early_stopping_cuts_training_short():
