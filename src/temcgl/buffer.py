@@ -122,9 +122,7 @@ class MemoryBuffer:
     """Accumulates embedding entries task by task; each task commits once.
 
     Row i of `te` is entry i's embedding; `label[i]`, `task_id[i]` and
-    `node_id[i]` are its bookkeeping. All rows share one width. The columns
-    are views of the filled rows of a storage with spare rows, which a
-    commit writes into.
+    `node_id[i]` are its bookkeeping. All rows share one width.
     """
 
     def __init__(
@@ -140,8 +138,10 @@ class MemoryBuffer:
         self.budget = budget
         self.sampler_id = sampler_id
         self.coverage_hops = coverage_hops
-        self._store = (np.empty((0, 0)), *(np.empty(0, dtype=np.int64) for _ in range(3)))
-        self.te, self.label, self.task_id, self.node_id = self._store
+        self.te = np.empty((0, 0))
+        self.label = np.empty(0, dtype=np.int64)
+        self.task_id = np.empty(0, dtype=np.int64)
+        self.node_id = np.empty(0, dtype=np.int64)
         # A set, not the task_id column: a task may commit zero rows.
         self._tasks_seen: set[int] = set()
 
@@ -153,22 +153,13 @@ class MemoryBuffer:
         return set(self._tasks_seen)
 
     def _append(self, te, label, task_id, node_id) -> None:
-        """Commit rows to all four columns at once, in place. Stored rows are copied
-        only when the storage is full, into one twice their count (or large enough)."""
+        """Commit rows to all four columns at once."""
         if len(label) == 0:  # keeps an empty buffer's te (0, 0): it is written with dim 0
             return
-        filled, end = len(self), len(self) + len(label)
-        if end > len(self._store[1]):
-            size = max(end, 2 * filled)
-            grown = (np.empty((size, np.shape(te)[1])),
-                     *(np.empty(size, dtype=np.int64) for _ in range(3)))
-            if filled:
-                for new, old in zip(grown, (self.te, self.label, self.task_id, self.node_id)):
-                    new[:filled] = old
-            self._store = grown
-        for column, rows in zip(self._store, (te, label, task_id, node_id)):
-            column[filled:end] = rows
-        self.te, self.label, self.task_id, self.node_id = (c[:end] for c in self._store)
+        self.te = np.concatenate([self.te, te]) if len(self) else np.array(te, dtype=np.float64)
+        self.label = np.concatenate([self.label, label]).astype(np.int64, copy=False)
+        self.task_id = np.concatenate([self.task_id, task_id]).astype(np.int64, copy=False)
+        self.node_id = np.concatenate([self.node_id, node_id]).astype(np.int64, copy=False)
 
     def update_tem(
         self,

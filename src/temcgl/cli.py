@@ -42,6 +42,7 @@ from .harness import (
     build_task_sequence,
     run_continual,
     run_study,
+    study_configs,
     study_summary,
     write_accuracy_matrix,
     write_buffer_stats,
@@ -77,12 +78,12 @@ def _load(args) -> ExperimentConfig:
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
-    """The output directory; the first file written there makes it, so a
-    command refused before then leaves none behind."""
     out = args.out or cfg.out
     if out is None:
         raise ConfigError("no output directory: pass --out or set out in [run]")
-    return Path(out)
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,11 @@ def cmd_sample_study(args) -> int:
     cfg = _load(args)
     if cfg.study is None:
         raise ConfigError("sample-study needs a [study] section in the config")
-    out = _out_dir(args, cfg)
     budgets = [BudgetPolicy(fraction=f) for f in cfg.study.budget_fractions]
     grid = {"sampler_id": cfg.study.samplers, "budget": budgets}
     base = dataclasses.replace(cfg.run, regime="replay")  # samplers are inert otherwise
+    study_configs(base, grid, cfg.study.seeds)  # a refused grid leaves no directory behind
+    out = _out_dir(args, cfg)
     rows = run_study(dataset_loader(cfg.dataset), base, grid, cfg.study.seeds, jobs=args.jobs)
     manifest_hash = write_manifest(out, cfg)
     write_study_table(out / "study.csv", rows, manifest_hash)

@@ -297,8 +297,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def write_manifest(directory, cfg: ExperimentConfig) -> str:
-    """Write manifest.json into `directory`, made if missing, and return its
-    hash (embedded in output CSVs).
+    """Write manifest.json and return its hash (embedded in output CSVs).
 
     The manifest pins the canonical config hash, the effective seed, and the
     package version - nothing time-dependent, so identical runs produce
@@ -315,7 +314,6 @@ def write_manifest(directory, cfg: ExperimentConfig) -> str:
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
     payload["manifest_hash"] = manifest_hash
-    Path(directory).mkdir(parents=True, exist_ok=True)
     path = Path(directory) / "manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest_hash

@@ -18,7 +18,7 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -281,55 +281,56 @@ def _embed_task(
 
 def _graph_step(
     g: Graph, tasks: Sequence[TaskSpec], task: TaskSpec, cfg: RunConfig, buffer: MemoryBuffer
-) -> tuple[dict[int, tuple], BufferStat]:
+) -> tuple[dict[int, np.ndarray], dict[int, tuple[np.ndarray, np.ndarray]], BufferStat]:
     """The part of one task that never reads the head.
 
-    Returns the new scored rows of every task visible now, by task id (the
-    task's own entry also holds the rows its head trains on), and the task's
-    buffer statistics. Under "replay" the task commits its selection to
-    `buffer`.
+    Returns, by task id, the new test rows of every task visible now and the
+    (train, valid) rows the head fits: those of every visible task under
+    "joint", of this task otherwise. Also returns the task's buffer
+    statistics. Under "replay" the task commits its selection to `buffer`.
     """
     visible, sub, tes = _embed_task(g, tasks, task.task_id, cfg)
+
+    def rows(nodes: np.ndarray) -> np.ndarray:
+        return tes.values[np.searchsorted(visible, nodes)]
+
     refreshed = tasks[: task.task_id + 1] if cfg.inter_task_edges == "keep_seen" else [task]
-    joint = cfg.regime == "joint"
-    rows = {t.task_id: _scored_rows(t, visible, tes, joint or t is task) for t in refreshed}
+    tests = {t.task_id: rows(t.test_nodes) for t in refreshed}
+    fits = {
+        t.task_id: (rows(t.train_nodes), rows(t.valid_nodes))
+        for t in (refreshed if cfg.regime == "joint" else [task])
+    }
     cov = 0.0
     if cfg.regime == "replay":
         local_train = np.searchsorted(visible, task.train_nodes)
         rng = component_rng(cfg.seed, f"sampler-task-{task.task_id}")
         selected = buffer.update_tem(sub, tes, task.task_id, local_train, rng, node_ids=visible)
         cov = coverage_ratio(sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train)
-    return rows, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
-
-
-def _scored_rows(task: TaskSpec, visible: np.ndarray, tes: TEMatrix, fit: bool) -> tuple:
-    """The rows of `task` gathered from the embeddings `tes` of `visible`: its
-    test rows, then if `fit` its train and valid rows."""
-    splits = (task.test_nodes, task.train_nodes, task.valid_nodes)[: 3 if fit else 1]
-    return tuple(tes.values[np.searchsorted(visible, nodes)] for nodes in splits)
+    return tests, fits, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
 
 
 def _head_batch(
-    cfg: RunConfig, fit: Sequence[TaskSpec], rows: Collection[tuple], buffer: MemoryBuffer,
-    replayed: int, labels: np.ndarray,
+    cfg: RunConfig, tasks: Sequence[TaskSpec], fits: Mapping[int, tuple[np.ndarray, np.ndarray]],
+    buffer: MemoryBuffer, replayed: int, labels: np.ndarray,
 ) -> tuple:
-    """The head's batch `(x, y, w, valid_x, valid_y)`: the train and valid rows
-    of the tasks `fit` (`_scored_rows` entries in `rows`) stacked with the
-    first `replayed` rows of `buffer`."""
-    train_x, valid_x = (np.concatenate([r[i] for r in rows]) for i in (1, 2))
+    """The head's batch `(x, y, w, valid_x, valid_y)`: the (train, valid) rows
+    of `fits`, by task id, stacked with the first `replayed` rows of `buffer`."""
+    fit = [tasks[task_id] for task_id in fits]
     x, y, w = replay_batch(
-        train_x, labels[np.concatenate([t.train_nodes for t in fit])],
+        np.concatenate([train for train, _ in fits.values()]),
+        labels[np.concatenate([t.train_nodes for t in fit])],
         buffer.te[:replayed], buffer.label[:replayed], cfg.replay_lambda, cfg.class_balance,
     )
+    valid_x = np.concatenate([valid for _, valid in fits.values()])
     return x, y, w, valid_x, labels[np.concatenate([t.valid_nodes for t in fit])]
 
 
 def _head_step(
     params: MlpParams, cfg: RunConfig, seen: Sequence[TaskSpec], batch: tuple,
-    scored: tuple, labels: np.ndarray,
+    tests: Sequence[np.ndarray], labels: np.ndarray,
 ) -> tuple[MlpParams, MlpParams, list[float]]:
     """Train the head on `batch` from `params` (updated in place) and score
-    each task of `seen` on its `scored` test rows. Returns the trained
+    each task of `seen` on its rows in `tests`. Returns the trained
     parameters, a copy that later training leaves alone, and the accuracies."""
     seen_classes = np.concatenate([t.classes for t in seen])
     # Model selection scores the validation nodes over every class seen so
@@ -340,10 +341,10 @@ def _head_step(
     params = _train_head(params, optimizer, *batch, seen_classes, cfg.epochs, cfg.patience)
     accs = [
         masked_accuracy(
-            params, rows[0], labels[prev.test_nodes],
+            params, test_x, labels[prev.test_nodes],
             np.asarray(prev.classes) if cfg.scenario == "task_il" else seen_classes,
         )
-        for prev, rows in zip(seen, scored)
+        for prev, test_x in zip(seen, tests)
     ]
     return params, params.copy(), accs
 
@@ -380,18 +381,19 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     )
     run = RunResult(AccuracyMatrix.empty(len(tasks)), [], [], [], [], buffer, tasks)
 
-    # Task id -> the rows of that task a head step reads. Under "keep_seen"
-    # each task regathers every seen task's entry; under "drop_all" an entry
-    # keeps the rows of its own task. A head step may hold an entry, so it is
-    # replaced, never written into.
-    scored: dict[int, tuple] = {}
+    # Task id -> that task's test rows. Under "keep_seen" each task regathers
+    # every seen task's rows; under "drop_all" a task keeps the rows of its
+    # own graph step. A head step may hold an entry, so it is replaced, never
+    # written into. Under "joint" the (train, valid) rows build up the same way.
+    scored: dict[int, np.ndarray] = {}
+    joint_fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     joint = cfg.regime == "joint"
     head = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for task in tasks:
             replayed = len(buffer)  # the rows this task's head replays
             try:
-                rows, stat = _graph_step(g, tasks, task, cfg, buffer)
+                tests, fits, stat = _graph_step(g, tasks, task, cfg, buffer)
             finally:
                 # The next batch waits for the previous head step, whose
                 # error, if any, comes before this task's, as in a
@@ -399,19 +401,17 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
                 if head is not None:
                     params = _record_head(run, task.task_id - 1, head.result())
             run.buffer_stats.append(stat)
-            for task_id, entry in rows.items():  # outside "joint", test rows only
-                scored[task_id] = entry if joint else entry[:1]
-            seen = tasks[: task.task_id + 1]
+            scored.update(tests)
             if joint:
                 # Reference upper bound: retrain from scratch on everything seen.
                 params = init_mlp(layer_dims, component_rng(cfg.seed, f"joint-init-{task.task_id}"))
-            # the head trains on every seen task's rows under "joint", else on this task's
-            fit, fit_rows = (seen, scored.values()) if joint else ([task], [rows[task.task_id]])
-            batch = _head_batch(cfg, fit, fit_rows, buffer, replayed, g.labels)
+                joint_fits.update(fits)
+            batch = _head_batch(cfg, tasks, joint_fits if joint else fits, buffer, replayed, g.labels)
             head = pool.submit(
-                _head_step, params, cfg, seen, batch, tuple(scored.values()), g.labels
+                _head_step, params, cfg, tasks[: task.task_id + 1], batch,
+                tuple(scored.values()), g.labels,
             )
-            del rows, fit_rows, batch  # the next graph step runs without them
+            del tests, fits, batch  # the next graph step runs without them
         _record_head(run, len(tasks) - 1, head.result())
     return run
 
@@ -522,21 +522,16 @@ def _study_unit(unit: tuple) -> StudyRow:
     return StudyRow(point, cfg.seed, run.aa[-1], run.af[-1], coverage, run.buffer_stats[-1].bytes)
 
 
-def run_study(
-    dataset: Callable[[int], Graph], base: RunConfig, grid: Mapping[str, Sequence],
-    seeds: Sequence[int], jobs: int = 1,
-) -> list[StudyRow]:
-    """One row per run of `base` at each point of `grid` and each seed.
+def study_configs(
+    base: RunConfig, grid: Mapping[str, Sequence], seeds: Sequence[int]
+) -> list[tuple[dict, RunConfig]]:
+    """Each run's grid point and config, in grid order with seeds innermost.
 
     `grid` maps `RunConfig` field names to their values; its points are the
-    product in order. A run is `dataclasses.replace(base, **point,
-    seed=seed)` on `dataset(seed)`, so runs at one seed share a graph.
-    Rows come back in grid order, seeds innermost, whatever `jobs` (worker
-    processes; `dataset` must then pickle) is. Every config is built, and so
-    checked, before any run. A repeated axis value would count a run twice.
+    product in order, and a run's config is `dataclasses.replace(base,
+    **point, seed=seed)`. Every config is built, and so checked, here. A
+    repeated axis value would count a run twice, so it is refused.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     for name in grid:
         if name == "seed" or name not in RunConfig.__dataclass_fields__:
             raise ValueError(f"{name!r} is not a grid axis; use RunConfig fields other than seed")
@@ -547,12 +542,26 @@ def run_study(
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"{name} {value!r} is repeated; each run must be distinct")
-
     # zipping a combination with `grid` leaves out the last axis, the seed
-    units = [
-        (dataset, dict(zip(grid, combo)), dataclasses.replace(base, **dict(zip(axes, combo))))
+    return [
+        (dict(zip(grid, combo)), dataclasses.replace(base, **dict(zip(axes, combo))))
         for combo in itertools.product(*axes.values())
     ]
+
+
+def run_study(
+    dataset: Callable[[int], Graph], base: RunConfig, grid: Mapping[str, Sequence],
+    seeds: Sequence[int], jobs: int = 1,
+) -> list[StudyRow]:
+    """One row per run of `study_configs(base, grid, seeds)`, in its order.
+
+    A run uses `dataset(seed)`, so runs at one seed share a graph. Rows come
+    back in the same order whatever `jobs` (worker processes; `dataset` must
+    then pickle) is. Every config is checked before any run.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    units = [(dataset, point, cfg) for point, cfg in study_configs(base, grid, seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_study_unit, units))

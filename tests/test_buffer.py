@@ -188,26 +188,6 @@ def test_update_tem_uniform_records_entries():
     assert buf.te[0, 0] != tes.values[selected[0]][0]
 
 
-def test_commits_write_in_place_and_copy_only_when_the_storage_grows():
-    g, tes = _toy_task(num_nodes=12)
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
-    assert buf.te.shape == (0, 0)
-    picks, storage, held = [], [], []
-    for task in range(5):
-        picks.append(buf.update_tem(g, tes, task, np.arange(12), np.random.default_rng(task)))
-        storage.append(buf.te.base)
-        held.append((buf.te, buf.te.copy()))
-    # a column read before a commit keeps its rows, grown storage or not
-    assert all(np.array_equal(view, rows) for view, rows in held)
-    # room for 2, 4, 8 and 16 rows: the fourth commit fits in the third's storage
-    assert [b is a for a, b in zip(storage, storage[1:])] == [False, False, True, False]
-    chosen = np.concatenate(picks)
-    np.testing.assert_array_equal(buf.te, tes.values[chosen])
-    np.testing.assert_array_equal(buf.node_id, chosen)
-    np.testing.assert_array_equal(buf.task_id, np.repeat(np.arange(5), 2))
-    assert buf.te.shape == (10, tes.dim) and len(buf) == 10
-
-
 def test_update_tem_rejects_repeat_task():
     g, tes = _toy_task()
     buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
