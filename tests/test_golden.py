@@ -21,6 +21,10 @@ digest over the canonical texts of the whole grid of those sections.
 
 The `study/...` cases pin the bytes of the files `temcgl sample-study`
 writes for a two-sampler, two-fraction, three-seed study on a 100-node SBM.
+
+The `buffer/...` cases pin `serialize_buffer` for a buffer several write
+chunks long, built from four commits (one of zero rows), and the bytes
+`save_buffer` writes for the `load_buffer` copy of its file.
 """
 from __future__ import annotations
 
@@ -30,13 +34,20 @@ import itertools
 import numpy as np
 import pytest
 
-from temcgl.buffer import SAMPLER_IDS, BudgetPolicy, serialize_buffer
+from temcgl.buffer import (
+    SAMPLER_IDS,
+    BudgetPolicy,
+    MemoryBuffer,
+    load_buffer,
+    save_buffer,
+    serialize_buffer,
+)
 from temcgl.cli import main
 from temcgl.config import config_hash, parse_config, serialize_config
 from temcgl.coverage import singleton_coverage_table
-from temcgl.graph import generate_sbm, induced_subgraph, normalize_adjacency
+from temcgl.graph import build_graph, generate_sbm, induced_subgraph, normalize_adjacency
 from temcgl.harness import EDGE_POLICIES, RunConfig, RunResult, run_continual
-from temcgl.propagation import VARIANTS, PropagationStrategy
+from temcgl.propagation import VARIANTS, PropagationStrategy, TEMatrix
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -312,6 +323,24 @@ def _study_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
     }
 
 
+def _chunked_buffer_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
+    # 2,800 rows of 256 doubles: a 5.8 MB file, several write chunks long
+    rng = np.random.default_rng(21)
+    n = 1200
+    g = build_graph(n, np.empty((0, 2)), labels=rng.integers(0, 7, size=n))
+    buf = MemoryBuffer(None, sampler_id="uniform")
+    for task_id, count in enumerate((1000, 0, 1100, 700)):
+        buf.budget = BudgetPolicy(count=count)
+        tes = TEMatrix(rng.standard_normal((n, 256)))
+        buf.update_tem(g, tes, task_id, np.arange(n), rng, node_ids=np.arange(n) + 5000 * task_id)
+    save_buffer(buf, tmp / "buffer.bin")
+    save_buffer(load_buffer(tmp / "buffer.bin"), tmp / "again.bin")
+    return {
+        "buffer/chunked": (np.frombuffer(serialize_buffer(buf), dtype=np.uint8),),
+        "buffer/chunked/resaved": (np.frombuffer((tmp / "again.bin").read_bytes(), np.uint8),),
+    }
+
+
 GOLDEN = {
     "sbm/four-equal": "531124158cf6953ce7750c10b54de9f4ef7afae7bde2f6f521957694142f3ae7",
     "normalize/four-equal/True": "bfe2fc879cac80ebe1741e0b06b60dd710984188de780d3d7a2c2368b78bc5cb",
@@ -391,12 +420,18 @@ GOLDEN = {
     "config/grid": "3d386d0f906d4e9f56bcb515c80b43b25e2255826b569b3aa8eaf87e2ef66a3b",
     "study/study.csv": "6795f5314d5f1006b11523134ce6c0ec4c44fb748af1789607a6845e06025c89",
     "study/study_runs.csv": "292ed5f5007e20eb78f984db4f7a9a35328ba0dcf6cd72b996e63167d990a6a9",
+    "buffer/chunked": "89144b2b69a01f87530aa8126033b8ee11aeed058a883af14e17aa4d46299a23",
+    "buffer/chunked/resaved": "89144b2b69a01f87530aa8126033b8ee11aeed058a883af14e17aa4d46299a23",
 }
 
 
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory) -> dict[str, str]:
-    arrays = {**_golden_arrays(), **_study_arrays(tmp_path_factory.mktemp("study"))}
+    arrays = {
+        **_golden_arrays(),
+        **_study_arrays(tmp_path_factory.mktemp("study")),
+        **_chunked_buffer_arrays(tmp_path_factory.mktemp("buffer")),
+    }
     return {**{k: _digest(*v) for k, v in arrays.items()}, **_config_digests()}
 
 
