@@ -3,9 +3,11 @@
 The buffer never stores subgraphs — only embedding rows frozen at the time
 their task was current, with label / task / origin-node bookkeeping. It is
 held as four aligned columns: an (entries x dim) float64 matrix `te` and
-int64 vectors `label`, `task_id` and `node_id`. Its byte footprint therefore
-scales with (entries x embedding dim) and is completely independent of node
-degrees.
+int64 vectors `label`, `task_id` and `node_id`, each a view of the filled
+rows of one row store that commits write into in place. Its byte footprint
+therefore scales with (entries x embedding dim) and is completely
+independent of node degrees. Buffer files are written and read a chunk of
+records at a time.
 
 Four selection policies fill it:
 
@@ -18,9 +20,11 @@ Four selection policies fill it:
 """
 from __future__ import annotations
 
+import io
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +37,7 @@ SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
 BUFFER_MAGIC = b"TEMB"
 BUFFER_FORMAT_VERSION = 1
 _BUFFER_HEADER = "<4sIIQ"  # magic, version, dim, entry count
+_CHUNK_BYTES = 1 << 20  # buffer files are written and read this much at a time
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -122,7 +127,11 @@ class MemoryBuffer:
     """Accumulates embedding entries task by task; each task commits once.
 
     Row i of `te` is entry i's embedding; `label[i]`, `task_id[i]` and
-    `node_id[i]` are its bookkeeping. All rows share one width.
+    `node_id[i]` are its bookkeeping. All rows share one width. The four
+    columns are views of one row store, so a commit writes its rows in
+    place. A run sizes the store once for every row it will commit, behind
+    a leading block that holds the current rows of the head's batch (see
+    `_batch`); any other buffer grows it to exactly what each commit needs.
     """
 
     def __init__(
@@ -138,10 +147,12 @@ class MemoryBuffer:
         self.budget = budget
         self.sampler_id = sampler_id
         self.coverage_hops = coverage_hops
-        self.te = np.empty((0, 0))
-        self.label = np.empty(0, dtype=np.int64)
-        self.task_id = np.empty(0, dtype=np.int64)
-        self.node_id = np.empty(0, dtype=np.int64)
+        # `_lead` leading rows, then the committed rows; the rows of `_ids`
+        # are label, task_id and node_id.
+        self._rows = np.empty((0, 0))
+        self._ids = np.empty((3, 0), dtype=np.int64)
+        self._lead = 0
+        self._expose(0)
         # A set, not the task_id column: a task may commit zero rows.
         self._tasks_seen: set[int] = set()
 
@@ -152,14 +163,51 @@ class MemoryBuffer:
     def tasks_seen(self) -> set[int]:
         return set(self._tasks_seen)
 
+    def _expose(self, n: int) -> None:
+        """Point the four columns at the store's first `n` entries."""
+        # an empty buffer's te stays (0, 0): it is written with dim 0
+        self.te = self._rows[self._lead : self._lead + n] if n else np.empty((0, 0))
+        self.label, self.task_id, self.node_id = self._ids[:, :n]
+
+    def _reserve(self, rows: int, lead: int, dim: int) -> None:
+        """Give the store room for `rows` entries of width `dim` after a
+        `lead`-row leading block, keeping the entries committed so far."""
+        n = len(self)
+        store = np.empty((lead + rows, dim))
+        ids = np.empty((3, rows), dtype=np.int64)
+        if n:
+            store[lead : lead + n] = self.te
+            ids[:, :n] = self._ids[:, :n]
+        self._rows, self._ids, self._lead = store, ids, lead
+        self._expose(n)
+
     def _append(self, te, label, task_id, node_id) -> None:
-        """Commit rows to all four columns at once."""
-        if len(label) == 0:  # keeps an empty buffer's te (0, 0): it is written with dim 0
-            return
-        self.te = np.concatenate([self.te, te]) if len(self) else np.array(te, dtype=np.float64)
-        self.label = np.concatenate([self.label, label]).astype(np.int64, copy=False)
-        self.task_id = np.concatenate([self.task_id, task_id]).astype(np.int64, copy=False)
-        self.node_id = np.concatenate([self.node_id, node_id]).astype(np.int64, copy=False)
+        """Commit rows to all four columns at once, in place."""
+        n, k = len(self), len(label)
+        if self._ids.shape[1] < n + k or self._rows.shape[1] != te.shape[1]:
+            self._reserve(n + k, self._lead, te.shape[1])
+        self._rows[self._lead + n : self._lead + n + k] = te
+        for column, values in zip(self._ids, (label, task_id, node_id)):
+            column[n : n + k] = values
+        self._expose(n + k)
+
+    def _batch(self, blocks: Sequence[np.ndarray], replayed: int) -> np.ndarray:
+        """The rows of `blocks`, one after another, then the first `replayed`
+        entries, as one view of the store.
+
+        `blocks` are copied into the end of the leading block, which grows
+        if they do not fit. The next `_batch` rewrites the view's leading
+        rows; a commit writes only past the entries already held.
+        """
+        n = sum(len(b) for b in blocks)
+        dim = blocks[0].shape[1]
+        if n > self._lead or self._rows.shape[1] != dim:
+            self._reserve(self._ids.shape[1], max(n, self._lead), dim)
+        start = self._lead - n
+        for block in blocks:
+            self._rows[start : start + len(block)] = block
+            start += len(block)
+        return self._rows[self._lead - n : self._lead + replayed]
 
     def update_tem(
         self,
@@ -224,23 +272,48 @@ class MemoryBuffer:
 # ---------------------------------------------------------------------------
 
 
-def serialize_buffer(buf: MemoryBuffer) -> bytes:
+def _file_header(buf: MemoryBuffer) -> bytes:
+    """The header of `buf`'s file, once its ids are known to fit the file."""
     i32 = np.iinfo(np.int32)
     for name in ("task_id", "label"):
         column = getattr(buf, name)
         if len(column) and (column.min() < i32.min or column.max() > i32.max):
             raise ValueError(f"buffer {name} does not fit the file's int32 field")
     dim = buf.te.shape[1]
-    records = np.empty(len(buf), dtype=_record_dtype(dim))
-    for name in ("task_id", "node_id", "label", "te"):
-        records[name] = getattr(buf, name)
-    header = struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf))
-    return header + records.tobytes()
+    return struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf))
+
+
+def _record_chunks(dim: int, count: int):
+    """`(start, records)` for each chunk of `count` records; every chunk is
+    a view of one array, rewritten by the next."""
+    dtype = _record_dtype(dim)
+    step = max(1, _CHUNK_BYTES // dtype.itemsize)
+    records = np.empty(min(step, count), dtype=dtype)
+    for start in range(0, count, step):
+        yield start, records[: min(step, count - start)]
+
+
+def _write_buffer(buf: MemoryBuffer, header: bytes, file) -> None:
+    """Write `header`, then `buf`'s packed records a chunk at a time."""
+    file.write(header)
+    for start, chunk in _record_chunks(buf.te.shape[1], len(buf)):
+        for name in ("task_id", "node_id", "label", "te"):
+            chunk[name] = getattr(buf, name)[start : start + len(chunk)]
+        file.write(chunk)
+
+
+def serialize_buffer(buf: MemoryBuffer) -> bytes:
+    """The bytes `save_buffer` writes for `buf`."""
+    out = io.BytesIO()
+    _write_buffer(buf, _file_header(buf), out)
+    return out.getvalue()
 
 
 def save_buffer(buf: MemoryBuffer, path) -> None:
     """Write `buf`'s entries to `path` in the `serialize_buffer` format."""
-    Path(path).write_bytes(serialize_buffer(buf))
+    header = _file_header(buf)  # a buffer the format refuses leaves `path` alone
+    with open(path, "wb") as file:
+        _write_buffer(buf, header, file)
 
 
 def load_buffer(path) -> MemoryBuffer:
@@ -250,20 +323,25 @@ def load_buffer(path) -> MemoryBuffer:
     budget and cannot sample: it holds the stored rows for replay, export
     or another save.
     """
-    blob = Path(path).read_bytes()
     head = struct.calcsize(_BUFFER_HEADER)
-    if len(blob) < head:
-        raise ValueError(f"{path}: truncated buffer file")
-    magic, version, dim, count = struct.unpack_from(_BUFFER_HEADER, blob)
-    if magic != BUFFER_MAGIC:
-        raise ValueError(f"{path}: not a buffer file (bad magic)")
-    if version != BUFFER_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    # sized before the dtype is built: numpy refuses a corrupt, huge dim
-    if len(blob) != head + count * (_record_dtype(0).itemsize + 8 * dim):
-        raise ValueError(f"{path}: payload size mismatch")
-    records = np.frombuffer(blob, dtype=_record_dtype(dim), count=count, offset=head)
     buf = MemoryBuffer(None, sampler_id="uniform")
-    buf._append(records["te"], records["label"], records["task_id"], records["node_id"])
-    buf._tasks_seen.update(buf.task_id.tolist())
+    with open(path, "rb") as file:
+        header = file.read(head)
+        if len(header) < head:
+            raise ValueError(f"{path}: truncated buffer file")
+        magic, version, dim, count = struct.unpack(_BUFFER_HEADER, header)
+        if magic != BUFFER_MAGIC:
+            raise ValueError(f"{path}: not a buffer file (bad magic)")
+        if version != BUFFER_FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported format version {version}")
+        # sized before the dtype is built: numpy refuses a corrupt, huge dim
+        size = head + count * (_record_dtype(0).itemsize + 8 * dim)
+        if os.fstat(file.fileno()).st_size != size:
+            raise ValueError(f"{path}: payload size mismatch")
+        buf._reserve(count, 0, dim)
+        for _, chunk in _record_chunks(dim, count):
+            if file.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path}: truncated buffer file")
+            buf._append(chunk["te"], chunk["label"], chunk["task_id"], chunk["node_id"])
+    buf._tasks_seen.update(np.unique(buf.task_id).tolist())
     return buf

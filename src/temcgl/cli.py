@@ -125,7 +125,10 @@ def cmd_sample_study(args) -> int:
     budgets = [BudgetPolicy(fraction=f) for f in cfg.study.budget_fractions]
     grid = {"sampler_id": cfg.study.samplers, "budget": budgets}
     base = dataclasses.replace(cfg.run, regime="replay")  # samplers are inert otherwise
-    study_configs(base, grid, cfg.study.seeds)  # a refused grid leaves no directory behind
+    # a refused grid or job count leaves no directory behind
+    study_configs(base, grid, cfg.study.seeds)
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     out = _out_dir(args, cfg)
     rows = run_study(dataset_loader(cfg.dataset), base, grid, cfg.study.seeds, jobs=args.jobs)
     manifest_hash = write_manifest(out, cfg)

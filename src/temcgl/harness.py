@@ -27,11 +27,11 @@ from .coverage import coverage_ratio
 from .graph import TEST, TRAIN, VALID, Graph, induced_subgraph, normalize_adjacency
 from .model import (
     MlpParams,
+    _replay_targets,
     _train_head,
     init_mlp,
     make_optimizer,
     masked_accuracy,
-    replay_batch,
 )
 from .propagation import PropagationStrategy, TEMatrix, compute_tes
 from .rng import component_rng
@@ -314,12 +314,14 @@ def _head_batch(
     buffer: MemoryBuffer, replayed: int, labels: np.ndarray,
 ) -> tuple:
     """The head's batch `(x, y, w, valid_x, valid_y)`: the (train, valid) rows
-    of `fits`, by task id, stacked with the first `replayed` rows of `buffer`."""
+    of `fits`, by task id, then the first `replayed` rows of `buffer`, with
+    `replay_batch`'s labels and weights. `x` is a view of the buffer's store
+    that the next batch overwrites."""
     fit = [tasks[task_id] for task_id in fits]
-    x, y, w = replay_batch(
-        np.concatenate([train for train, _ in fits.values()]),
-        labels[np.concatenate([t.train_nodes for t in fit])],
-        buffer.te[:replayed], buffer.label[:replayed], cfg.replay_lambda, cfg.class_balance,
+    x = buffer._batch([train for train, _ in fits.values()], replayed)
+    y, w = _replay_targets(
+        labels[np.concatenate([t.train_nodes for t in fit])], buffer.label[:replayed],
+        cfg.replay_lambda, cfg.class_balance,
     )
     valid_x = np.concatenate([valid for _, valid in fits.values()])
     return x, y, w, valid_x, labels[np.concatenate([t.valid_nodes for t in fit])]
@@ -368,9 +370,11 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     The graph step also gathers the rows that head steps score. The calling
     thread alone reads and writes the buffer and writes the result. Once
     that head step is done, it records the step's outputs, stores the new
-    scored rows and builds this task's batch, so one batch is alive at a
-    time. Each side makes the same calls in the same order as a sequential
-    loop, so every output is bit-identical to one.
+    scored rows and builds this task's batch in the buffer's store, where
+    the previous batch was, so one batch is alive at a time. A commit
+    writes past every row the running head step replays. Each side makes
+    the same calls in the same order as a sequential loop, so every output
+    is bit-identical to one.
     """
     tasks = build_task_sequence(g, cfg.classes_per_task)
     te_dim = cfg.strategy.hidden_dim if cfg.strategy.variant == "reservoir" else g.feature_dim
@@ -379,6 +383,13 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     buffer = MemoryBuffer(
         cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
     )
+    # The store holds every row the run commits (a commit never exceeds its
+    # candidates), behind room for the largest block of train rows a batch
+    # stacks: one task's, or under "joint" every task's.
+    joint = cfg.regime == "joint"
+    blocks = [len(t.train_nodes) for t in tasks]
+    committed = sum(min(cfg.budget.resolve(b), b) for b in blocks) if cfg.regime == "replay" else 0
+    buffer._reserve(committed, sum(blocks) if joint else max(blocks), te_dim)
     run = RunResult(AccuracyMatrix.empty(len(tasks)), [], [], [], [], buffer, tasks)
 
     # Task id -> that task's test rows. Under "keep_seen" each task regathers
@@ -387,7 +398,6 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     # written into. Under "joint" the (train, valid) rows build up the same way.
     scored: dict[int, np.ndarray] = {}
     joint_fits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    joint = cfg.regime == "joint"
     head = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         for task in tasks:

@@ -257,19 +257,26 @@ def replay_batch(
     rescaling the loss by class size); `replay_lambda` then multiplies the
     buffered rows only.
     """
+    y, w = _replay_targets(current_y, replay_y, replay_lambda, class_balance)
+    current_x = np.asarray(current_x, dtype=np.float64)
+    # An empty buffer's te is (0, 0) and would not stack onto (n, dim) rows.
+    x = np.vstack([current_x, replay_x]) if len(replay_y) else current_x.copy()
+    return x, y, w
+
+
+def _replay_targets(
+    current_y: np.ndarray, replay_y: np.ndarray, replay_lambda: float, class_balance: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and sample weights of `replay_batch`, without its rows."""
     if not np.isfinite(replay_lambda):
         raise ValueError(f"replay_lambda must be finite, got {replay_lambda}")
     if replay_lambda < 0:
         raise ValueError("replay_lambda must be >= 0")
-    current_x = np.asarray(current_x, dtype=np.float64)
     current_y = np.asarray(current_y, dtype=np.int64)
-    n_current = current_x.shape[0]
-    # An empty buffer's te is (0, 0) and would not stack onto (n, dim) rows.
-    x = np.vstack([current_x, replay_x]) if len(replay_y) else current_x.copy()
     y = np.concatenate([current_y, np.asarray(replay_y, dtype=np.int64)])
     w = class_balance_weights(y) if class_balance else np.ones(len(y))
-    w[n_current:] *= replay_lambda
-    return x, y, w
+    w[len(current_y) :] *= replay_lambda
+    return y, w
 
 
 # ---------------------------------------------------------------------------

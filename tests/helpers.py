@@ -8,6 +8,8 @@ exception: it strings the package's own steps together in a single thread.
 """
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from temcgl import harness
@@ -343,6 +345,37 @@ def oracle_reservoir_pass(candidates, n: int, rng: np.random.Generator) -> np.nd
         if j < n:
             slots[j] = v
     return slots
+
+
+# ---------------------------------------------------------------------------
+# replay memory oracle
+# ---------------------------------------------------------------------------
+
+
+class ConcatBuffer:
+    """The replay memory as four columns that every commit concatenates
+    onto, and its file packed record by record with `struct`."""
+
+    def __init__(self) -> None:
+        self.te = np.empty((0, 0))
+        self.label = np.empty(0, dtype=np.int64)
+        self.task_id = np.empty(0, dtype=np.int64)
+        self.node_id = np.empty(0, dtype=np.int64)
+
+    def commit(self, te, label, task_id, node_id) -> None:
+        if len(label) == 0:  # an empty buffer keeps te (0, 0)
+            return
+        self.te = np.concatenate([self.te, te]) if len(self.label) else np.array(te, dtype=float)
+        self.label = np.concatenate([self.label, label]).astype(np.int64)
+        self.task_id = np.concatenate([self.task_id, task_id]).astype(np.int64)
+        self.node_id = np.concatenate([self.node_id, node_id]).astype(np.int64)
+
+    def file_bytes(self) -> bytes:
+        dim = self.te.shape[1]
+        parts = [struct.pack("<4sIIQ", b"TEMB", 1, dim, len(self.label))]
+        for task, node, label, row in zip(self.task_id, self.node_id, self.label, self.te):
+            parts.append(struct.pack(f"<iqi{dim}d", task, node, label, *row))
+        return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,13 @@ from temcgl.buffer import (
 from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.propagation import PropagationStrategy, TEMatrix, compute_tes
 
-from helpers import oracle_nearest_centroid, oracle_reservoir_pass, random_edges, star_edges
+from helpers import (
+    ConcatBuffer,
+    oracle_nearest_centroid,
+    oracle_reservoir_pass,
+    random_edges,
+    star_edges,
+)
 
 
 def _toy_task(num_nodes: int = 12, seed: int = 0):
@@ -319,15 +327,96 @@ def test_zero_count_commit_still_refuses_the_task():
     assert serialize_buffer(buf)[8:12] == (0).to_bytes(4, "little")
 
 
-def test_serialize_rejects_ids_outside_int32():
+def test_serialize_rejects_ids_outside_int32(tmp_path):
     g, tes = _toy_task(seed=5)
     buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
     buf.update_tem(g, tes, task_id=2**31, candidates=np.arange(4),
                    rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="task_id"):
         serialize_buffer(buf)
+    with pytest.raises(ValueError, match="task_id"):
+        save_buffer(buf, tmp_path / "buffer.bin")
+    assert not (tmp_path / "buffer.bin").exists()  # refused before the file is opened
     buf.task_id[:] = -(2**31)  # the int32 minimum itself is fine
     assert len(serialize_buffer(buf)) == buf.footprint_bytes()
     buf.label[0] = -(2**31) - 1
     with pytest.raises(ValueError, match="label"):
         serialize_buffer(buf)
+
+
+def _same_columns(buf: MemoryBuffer, oracle: ConcatBuffer) -> None:
+    for name in ("te", "label", "task_id", "node_id"):
+        got, want = getattr(buf, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    blob = oracle.file_bytes()
+    assert serialize_buffer(buf) == blob and buf.footprint_bytes() == len(blob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    counts=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+    lead=st.integers(0, 5),
+)
+def test_commits_match_a_concatenating_oracle(seed, counts, lead):
+    # The same commits go to a buffer sized for all of them behind a `lead`
+    # row leading block, as a run sizes it, and to one that grows per commit.
+    # Between commits a batch is built in the leading block; it must match
+    # the stacked rows and leave the entries alone.
+    g, tes = _toy_task(seed=seed % 50)
+    node_ids = np.arange(100, 100 + g.num_nodes)
+    sized = MemoryBuffer(None, sampler_id="uniform")
+    sized._reserve(sum(counts), lead, tes.dim)
+    buffers = (sized, MemoryBuffer(None, sampler_id="uniform"))
+    oracle = ConcatBuffer()
+    rng = np.random.default_rng(seed)
+    for task_id, count in enumerate(counts):
+        tes = TEMatrix(rng.standard_normal((g.num_nodes, tes.dim)))
+        picks = []
+        for buf in buffers:
+            buf.budget = BudgetPolicy(count=count)
+            picks.append(buf.update_tem(g, tes, task_id, np.arange(g.num_nodes),
+                                        np.random.default_rng([seed, task_id]), node_ids))
+        assert picks[0].tolist() == picks[1].tolist()
+        oracle.commit(tes.values[picks[0]], g.labels[picks[0]], np.full(count, task_id),
+                      node_ids[picks[0]])
+        blocks = [rng.standard_normal((int(n), tes.dim)) for n in rng.integers(1, 8, size=2)]
+        replayed = int(rng.integers(0, len(oracle.label) + 1))
+        stacked = np.vstack(blocks + ([oracle.te[:replayed]] if replayed else []))
+        for buf in buffers:
+            np.testing.assert_array_equal(buf._batch(blocks, replayed), stacked)
+            _same_columns(buf, oracle)
+            if len(buf):
+                wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)))
+                with pytest.raises(ValueError, match="disagree on embedding dim"):
+                    buf.update_tem(g, wide, task_id + 100, np.arange(g.num_nodes),
+                                   np.random.default_rng(0))
+                assert buf.tasks_seen == set(range(task_id + 1))
+                _same_columns(buf, oracle)
+
+
+def test_buffer_files_are_written_and_read_in_chunks(tmp_path):
+    # 3,000 rows of 256 doubles make a 6.19 MB file. Saving holds one chunk
+    # of records, never the file; loading holds the buffer and one chunk.
+    rng = np.random.default_rng(0)
+    n = 3000
+    g = build_graph(n, np.empty((0, 2)), labels=rng.integers(0, 9, size=n))
+    buf = MemoryBuffer(BudgetPolicy(count=n), sampler_id="uniform")
+    buf.update_tem(g, TEMatrix(rng.standard_normal((n, 256))), 0, np.arange(n), rng)
+    path = tmp_path / "buffer.bin"
+    tracemalloc.start()
+    try:
+        save_buffer(buf, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_buffer(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == buf.footprint_bytes() == 20 + n * (16 + 8 * 256)
+    assert save_peak < 0.5 * size
+    assert load_peak < 1.5 * size
+    for name in ("te", "label", "task_id", "node_id"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(buf, name))

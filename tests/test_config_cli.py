@@ -394,13 +394,18 @@ def test_cli_sample_study_refuses_a_repeated_sampler(tmp_path, monkeypatch, caps
     assert "sampler_id 'uniform' is repeated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,bad", [
-    ("samplers = uniform, coverage_max", "samplers = uniform, uniform"),
-    ("budget_fractions = 0.1, 0.3", "budget_fractions = 0.1, 1.5"),
-], ids=["repeated-sampler", "fraction-above-one"])
-def test_cli_sample_study_refused_grid_leaves_no_output_dir(tmp_path, old, bad):
-    cfg_path = _write(tmp_path, STUDY_INI.replace(old, bad))
-    assert main(["sample-study", "--config", str(cfg_path), "--out", str(tmp_path / "rep")]) == 1
+@pytest.mark.parametrize("old,bad,extra,message", [
+    ("samplers = uniform, coverage_max", "samplers = uniform, uniform", [], "is repeated"),
+    ("budget_fractions = 0.1, 0.3", "budget_fractions = 0.1, 1.5", [], "fraction"),
+    (None, None, ["--jobs", "0"], "jobs must be >= 1"),
+], ids=["repeated-sampler", "fraction-above-one", "jobs-zero"])
+def test_cli_sample_study_refused_grid_leaves_no_output_dir(
+    tmp_path, capsys, old, bad, extra, message
+):
+    cfg_path = _write(tmp_path, STUDY_INI.replace(old, bad) if old else STUDY_INI)
+    out = ["--out", str(tmp_path / "rep")]
+    assert main(["sample-study", "--config", str(cfg_path), *out, *extra]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
 
 
