@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, bfs_ball
+from .graph import Graph, _with_self_loops, bfs_ball
 
 # Candidates whose balls are expanded together in one sparse product; bounds
 # the fill-in of the reachability block on dense graphs or large radii.
@@ -61,17 +61,22 @@ def singleton_coverage_table(
     candidates = np.asarray(candidates, dtype=np.int64)
     if len(candidates) and (candidates.min() < 0 or candidates.max() >= g.num_nodes):
         raise ValueError("candidate node id out of range")
-    step = g.adjacency() + sp.identity(g.num_nodes, format="csr")
+    indptr, indices = _with_self_loops(g.indptr, g.indices)
+    # boolean products add by `or`, so every stored entry of a product is True
+    step = sp.csr_array(
+        (np.ones(len(indices), dtype=bool), indices, indptr), shape=(g.num_nodes, g.num_nodes)
+    )
     in_universe = mask.astype(np.float64)
     table = np.empty(len(candidates))
     for start in range(0, len(candidates), COVERAGE_BLOCK_ROWS):
         block = candidates[start : start + COVERAGE_BLOCK_ROWS]
         k = len(block)
         # row i of `reach` is the indicator of the ball around block[i]
-        reach = sp.csr_matrix((np.ones(k), block, np.arange(k + 1)), shape=(k, g.num_nodes))
+        reach = sp.csr_array(
+            (np.ones(k, dtype=bool), block, np.arange(k + 1)), shape=(k, g.num_nodes)
+        )
         for _ in range(hops):
             reach = reach @ step
-            reach.data[:] = 1.0
         # sums of 1.0 are exact integers, so this divides the same counts
         table[start : start + k] = (reach @ in_universe) / total
     return table

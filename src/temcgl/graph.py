@@ -13,9 +13,10 @@ object because two different restrictions matter later on:
 
 Both restrictions slice the parent CSR arrays with one keep-mask over its
 entries, and construction, validation, normalisation and BFS work on whole
-arrays (sort keys, masks, bincounts, scipy products); no step loops over
-nodes in Python. The SBM generator still draws one uniform per node pair,
-O(n^2) time, but in bounded bands spread over threads.
+int64 arrays (sorted ``row * n + col`` keys, masks, bincounts); no step
+loops over nodes in Python, and scipy only multiplies. The SBM generator
+still draws one uniform per node pair, O(n^2) time, but in bounded bands
+spread over threads.
 """
 from __future__ import annotations
 
@@ -44,9 +45,10 @@ SPLIT_CODES = {v: k for k, v in SPLIT_TOKENS.items()}
 class Graph:
     """Simple undirected graph with per-node features, labels and split.
 
-    Invariants enforced at construction: CSR structure is valid, column ids
-    are strictly increasing inside each row, there are no self loops, and
-    the adjacency is symmetric. Builders (`build_graph`, the loaders, the
+    Invariants enforced at construction: ``indptr``, ``indices``, ``labels``
+    and ``split`` are integer arrays, CSR structure is valid, column ids are
+    strictly increasing inside each row, there are no self loops, and the
+    adjacency is symmetric. Builders (`build_graph`, the loaders, the
     generator) canonicalise raw edge lists before constructing one of these.
     """
 
@@ -61,23 +63,32 @@ class Graph:
         n = self.num_nodes
         if n < 1:
             raise ValueError("graph needs at least one node")
+        for name in ("indptr", "indices", "labels", "split"):
+            value = getattr(self, name)
+            if not (isinstance(value, np.ndarray) and value.dtype.kind == "i"):
+                raise ValueError(f"{name} must be an array of signed integers")
         if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
             raise ValueError("malformed indptr")
         if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != len(self.indices):
             raise ValueError("malformed indptr")
         if len(self.indices) and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("edge endpoint out of range")
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        unsorted = rows[1:][(rows[1:] == rows[:-1]) & (np.diff(self.indices) <= 0)]
-        looped = rows[self.indices == rows]
+        key = np.repeat(np.arange(n), np.diff(self.indptr))  # each entry's row, for now
+        looped = key[self.indices == key]
+        mirror = self.indices.astype(np.int64)
+        mirror *= n
+        mirror += key  # col * n + row
+        key *= n
+        key += self.indices  # row * n + col: strictly increasing iff rows are sorted and unique
+        unsorted = key[1:][key[1:] <= key[:-1]][:1] // n
         if unsorted.size or looped.size:
             # report the first bad row; inside it, ordering before self loops
-            u = min(unsorted[:1].tolist() + looped[:1].tolist())
+            u = min(unsorted.tolist() + looped[:1].tolist())
             if unsorted.size and unsorted[0] == u:
                 raise ValueError(f"row {u} has unsorted or duplicate neighbours")
             raise ValueError(f"self loop stored at node {u}")
-        m = self.adjacency()
-        if (m != m.T).nnz:
+        mirror.sort()
+        if not np.array_equal(key, mirror):
             raise ValueError("adjacency is not symmetric")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError("features must be (num_nodes, dim)")
@@ -100,13 +111,6 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """The 0/1 adjacency matrix as scipy CSR."""
-        return sp.csr_matrix(
-            (np.ones(len(self.indices)), self.indices, self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
     def split_nodes(self, code: int) -> np.ndarray:
         return np.flatnonzero(self.split == code)
 
@@ -123,30 +127,50 @@ def build_graph(
     Edges may appear in either direction, duplicated, or as self loops;
     they are symmetrised, deduplicated, and self loops are dropped.
     Missing features/labels/split default to a single zero feature, label
-    zero, and an all-train split.
+    zero, and an all-train split. Edge endpoints and labels must be whole
+    numbers.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _whole_numbers("edges", edges).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
     u, v = edges[edges[:, 0] != edges[:, 1]].T
     # u*n + v sorts exactly like the pair (u, v), since 0 <= v < n; a sort and
     # a mask dedupe it (np.unique hashes integer keys first, which is slower)
-    key = np.sort(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
-    key = key[np.diff(key, prepend=-1) > 0]
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // num_nodes, minlength=num_nodes), out=indptr[1:])
+    key = np.concatenate([u, v])
+    key *= num_nodes
+    key[: len(u)] += v
+    key[len(u) :] += u
+    del u, v  # the loop-free copy of the edges
+    key.sort()
+    fresh = np.ones(len(key), dtype=bool)
+    np.greater(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
     indices = key % num_nodes
+    key //= num_nodes  # each entry's row
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=num_nodes), out=indptr[1:])
+    del key  # `Graph` validates without it
 
     if features is None:
         features = np.zeros((num_nodes, 1))
     features = np.asarray(features, dtype=np.float64)
     if labels is None:
         labels = np.zeros(num_nodes, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _whole_numbers("labels", labels)
     if split is None:
         split = np.full(num_nodes, TRAIN, dtype=np.int8)
     split = np.asarray(split, dtype=np.int8)
     return Graph(num_nodes, indptr, indices, features, labels, split)
+
+
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """`values` as int64, refusing any entry that is not a whole number."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu" and not (
+        values.dtype.kind == "f" and np.all(np.mod(values, 1.0) == 0.0)
+    ):
+        raise ValueError(f"{name} must be whole numbers")
+    return values.astype(np.int64, copy=False)
 
 
 def _slice_csr(
@@ -160,12 +184,35 @@ def _slice_csr(
     """
     local = np.full(len(indptr) - 1, -1, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
-    rows = np.repeat(local, np.diff(indptr))
-    cols = local[indices]
-    keep = (rows >= 0) & (cols >= 0)
-    sliced = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=len(nodes)), out=sliced[1:])
-    return sliced, cols[keep], keep
+    # one entry-length buffer: first each entry's new column, then kept[p],
+    # the number of kept entries before entry p
+    kept = np.zeros(len(indices) + 1, dtype=np.int64)
+    cols = kept[1:]
+    np.take(local, indices, out=cols, mode="clip")  # `clip` writes unbuffered
+    keep = np.repeat(local >= 0, np.diff(indptr))
+    keep &= cols >= 0
+    sliced_indices = cols[keep]
+    np.cumsum(keep, out=cols)
+    sliced = np.concatenate([[0], kept[indptr[nodes + 1]]])
+    return sliced, sliced_indices, keep
+
+
+def _with_self_loops(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 CSR pattern of A + I, from that of A (sorted rows, no diagonal).
+
+    Each row's diagonal entry goes after the row's columns below it, so the
+    rows stay sorted, as scipy's ``A + I`` after ``sort_indices()``.
+    """
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diag = indptr[:-1] + np.arange(n) + np.bincount(rows[indices < rows], minlength=n)
+    del rows
+    loops = np.empty(len(indices) + n, dtype=np.int64)
+    off_diagonal = np.ones(len(loops), dtype=bool)
+    off_diagonal[diag] = False
+    loops[off_diagonal] = indices
+    loops[diag] = np.arange(n)
+    return indptr + np.arange(n + 1), loops
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +237,18 @@ class NormalizedAdjacency:
     self_loops: bool
 
     @functools.cached_property
-    def _csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
+    def _csr(self) -> sp.csr_array:
+        return sp.csr_array(
             (self.values, self.indices, self.indptr),
             shape=(self.num_nodes, self.num_nodes),
         )
 
-    def to_scipy(self) -> sp.csr_matrix:
-        """The operator as scipy CSR, built once and shared; do not modify it."""
+    def to_scipy(self) -> sp.csr_array:
+        """The operator as a scipy ``csr_array``, built once.
+
+        It shares this operator's ``values``, ``indices`` and ``indptr``
+        arrays rather than copying them; do not modify it.
+        """
         return self._csr
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
@@ -221,7 +272,7 @@ class NormalizedAdjacency:
         operator is what a node's receptive field needs to reproduce its
         full-graph embedding exactly.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = _whole_numbers("nodes", nodes)
         if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
             raise ValueError("restriction wants a sorted array of unique node ids")
         if nodes[0] < 0 or nodes[-1] >= self.num_nodes:
@@ -240,20 +291,17 @@ class NormalizedAdjacency:
 def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
     """Symmetrically normalised operator of `g`, optionally with self loops."""
     n = g.num_nodes
-    indptr, cols = g.indptr, g.indices
     if self_loops:
-        a = g.adjacency() + sp.identity(n, format="csr")
-        a.sort_indices()
-        indptr, cols = a.indptr, a.indices
-    # scipy may hand back int32 index arrays; the operator keeps int64
-    indptr = indptr.astype(np.int64)
-    cols = cols.astype(np.int64)
-    deg = np.diff(indptr).astype(np.float64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        indptr, cols = _with_self_loops(g.indptr, g.indices)
+    else:
+        indptr, cols = g.indptr.astype(np.int64, copy=False), g.indices.astype(np.int64, copy=False)
+    counts = np.diff(indptr)
+    deg = counts.astype(np.float64)
     inv_sqrt = np.zeros(n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    values = inv_sqrt[rows] * inv_sqrt[cols]
+    values = np.repeat(inv_sqrt, counts)  # inv_sqrt of each entry's row
+    values *= inv_sqrt[cols]
     return NormalizedAdjacency(n, indptr, cols, values, deg, self_loops)
 
 
@@ -298,7 +346,7 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     result are the subgraph's own — normalising it does not reuse parent
     weights (contrast `NormalizedAdjacency.restrict`).
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _whole_numbers("nodes", nodes)
     if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
         raise ValueError("induced_subgraph wants a sorted array of unique node ids")
     if nodes[0] < 0 or nodes[-1] >= g.num_nodes:

@@ -9,8 +9,10 @@ exception: it strings the package's own steps together in a single thread.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 
 from temcgl import harness
 from temcgl.buffer import MemoryBuffer
@@ -105,6 +107,45 @@ def ball_oracle(num_nodes: int, edges: np.ndarray, seeds, hops: int) -> set[int]
 
 
 # ---------------------------------------------------------------------------
+# scipy CSR oracles: the graph layer's earlier scipy round trips
+# ---------------------------------------------------------------------------
+
+
+def oracle_asymmetric_entries(num_nodes: int, indptr, indices) -> int:
+    """Stored entries where a 0/1 CSR pattern differs from its transpose."""
+    m = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(num_nodes, num_nodes))
+    return (m != m.T).nnz
+
+
+def oracle_with_self_loops(num_nodes: int, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pattern of scipy's ``A + I`` after ``sort_indices()``, as int64."""
+    a = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(num_nodes, num_nodes))
+    a = a + sp.identity(num_nodes, format="csr")
+    a.sort_indices()
+    return a.indptr.astype(np.int64), a.indices.astype(np.int64)
+
+
+def oracle_slice_csr(indptr, indices, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns `nodes` of a CSR pattern through a full row array:
+    the new ``indptr``, ``indices`` and the mask of kept entries."""
+    local = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    local[nodes] = np.arange(len(nodes))
+    rows = np.repeat(local, np.diff(indptr))
+    cols = local[indices]
+    keep = (rows >= 0) & (cols >= 0)
+    sliced = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=len(nodes)), out=sliced[1:])
+    return sliced, cols[keep], keep
+
+
+def dense_csr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted int64 CSR ``indptr`` and ``indices`` of a dense 0/1 matrix."""
+    rows, cols = np.nonzero(a)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(a)))])
+    return indptr.astype(np.int64), cols.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
 # tiny graph builders (edge arrays, not package objects)
 # ---------------------------------------------------------------------------
 
@@ -185,6 +226,19 @@ def arrays_held(obj) -> list[np.ndarray]:
         if isinstance(value, list):
             found.extend(a for a in value if isinstance(a, np.ndarray))
     return found
+
+
+def traced_peak(fn):
+    """Call ``fn()``; return its result and its ``tracemalloc`` peak in bytes
+    above the allocation traced when the call began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
 
 
 # ---------------------------------------------------------------------------

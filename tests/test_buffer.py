@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from helpers import (
     oracle_reservoir_pass,
     random_edges,
     star_edges,
+    traced_peak,
 )
 
 
@@ -405,15 +405,8 @@ def test_buffer_files_are_written_and_read_in_chunks(tmp_path):
     buf = MemoryBuffer(BudgetPolicy(count=n), sampler_id="uniform")
     buf.update_tem(g, TEMatrix(rng.standard_normal((n, 256))), 0, np.arange(n), rng)
     path = tmp_path / "buffer.bin"
-    tracemalloc.start()
-    try:
-        save_buffer(buf, path)
-        save_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        back = load_buffer(path)
-        load_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, save_peak = traced_peak(lambda: save_buffer(buf, path))
+    back, load_peak = traced_peak(lambda: load_buffer(path))
     size = path.stat().st_size
     assert size == buf.footprint_bytes() == 20 + n * (16 + 8 * 256)
     assert save_peak < 0.5 * size

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temcgl import graph as graph_module
@@ -27,10 +27,15 @@ from temcgl.rng import component_rng
 
 from helpers import (
     dense_adjacency,
+    dense_csr,
     dense_normalized,
+    oracle_asymmetric_entries,
     oracle_sbm_edges,
+    oracle_slice_csr,
+    oracle_with_self_loops,
     path_edges,
     random_edges,
+    traced_peak,
 )
 
 
@@ -104,6 +109,178 @@ def test_graph_rejects_malformed_arrays():
             raw(indptr, indices)
     # column ids may fall across a row boundary, and rows may be empty
     assert raw([0, 1, 1, 2], [2, 0]).num_edges == 1
+
+
+def test_graph_refuses_arrays_that_are_not_integers():
+    good = dict(
+        num_nodes=2,
+        indptr=np.array([0, 1, 2]),
+        indices=np.array([1, 0]),
+        features=np.zeros((2, 1)),
+        labels=np.array([0, 1]),
+        split=np.zeros(2, dtype=np.int8),
+    )
+    assert Graph(**good).num_edges == 1
+    cases = [
+        ("indptr", np.array([0.0, 1.0, 2.0])),
+        ("indices", np.array([1.0, 0.0])),
+        ("indices", [1, 0]),
+        ("indices", np.array([1, 0], dtype=np.uint64)),
+        ("labels", np.array([0.5, 1.0])),
+        ("split", np.zeros(2)),
+    ]
+    for name, bad in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be an array of signed integers$"):
+            Graph(**{**good, name: bad})
+
+
+def test_builders_refuse_values_that_are_not_whole_numbers():
+    g = build_graph(3, path_edges(3))
+    adj = normalize_adjacency(g, self_loops=False)
+    with pytest.raises(ValueError, match="^edges must be whole numbers$"):
+        build_graph(3, [[0.2, 1.9]])
+    with pytest.raises(ValueError, match="^edges must be whole numbers$"):
+        build_graph(3, [[0, np.nan]])
+    with pytest.raises(ValueError, match="^labels must be whole numbers$"):
+        build_graph(3, path_edges(3), labels=[0, 0.7, 1])
+    with pytest.raises(ValueError, match="^nodes must be whole numbers$"):
+        induced_subgraph(g, [0.0, 1.7])
+    with pytest.raises(ValueError, match="^nodes must be whole numbers$"):
+        adj.restrict([0.0, 1.7])
+    # whole numbers stored as floats still work, as they always did
+    assert build_graph(3, [[0.0, 1.0]], labels=[0.0, 1.0, 1.0]).labels.tolist() == [0, 1, 1]
+    assert induced_subgraph(g, [0.0, 1.0]).num_edges == 1
+    assert adj.restrict([1.0, 2.0]).num_nodes == 2
+
+
+# ---------------------------------------------------------------------------
+# int64 CSR kernels against the scipy round trips they replace
+# ---------------------------------------------------------------------------
+
+# (num_nodes, edge probability, seed): random graphs with isolated nodes,
+# single nodes and no edges among them
+_PATTERNS = st.tuples(
+    st.integers(1, 24), st.sampled_from([0.0, 0.05, 0.2, 0.6]), st.integers(0, 10**6)
+)
+
+
+def _random_adjacency(pattern) -> tuple[np.ndarray, np.random.Generator]:
+    n, p, seed = pattern
+    rng = np.random.default_rng(seed)
+    return dense_adjacency(n, random_edges(n, p, rng)), rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(pattern=_PATTERNS, fault=st.sampled_from(["none", "drop mirror", "move mirror"]))
+@example(pattern=(1, 0.0, 0), fault="none")
+@example(pattern=(5, 0.0, 0), fault="drop mirror")
+@example(pattern=(2, 1.0, 0), fault="drop mirror")
+@example(pattern=(3, 1.0, 0), fault="move mirror")
+def test_symmetry_check_matches_scipy_transpose(pattern, fault):
+    a, rng = _random_adjacency(pattern)
+    n = len(a)
+    stored = np.argwhere(a)
+    if fault != "none" and len(stored):
+        u, v = stored[rng.integers(len(stored))]
+        a[u, v] = 0.0  # (v, u) loses its mirror ...
+        free = np.flatnonzero(a[u] == 0.0)
+        free = free[(free != u) & (free != v)]
+        if fault == "move mirror" and len(free):
+            a[u, rng.choice(free)] = 1.0  # ... which now sits in another column
+    indptr, indices = dense_csr(a)
+
+    def build():
+        zeros = np.zeros(n, dtype=np.int64)
+        return Graph(n, indptr, indices, np.zeros((n, 1)), zeros, zeros.astype(np.int8))
+
+    if oracle_asymmetric_entries(n, indptr, indices):
+        with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+            build()
+    else:
+        assert build().num_edges * 2 == len(indices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pattern=_PATTERNS)
+@example(pattern=(1, 0.0, 0))
+@example(pattern=(4, 0.0, 0))
+def test_self_loops_match_scipy_sum(pattern):
+    a, _ = _random_adjacency(pattern)
+    indptr, indices = dense_csr(a)
+    want = oracle_with_self_loops(len(a), indptr, indices)
+    for ids in (indices, indices.astype(np.int32)):
+        got = graph_module._with_self_loops(indptr, ids)
+        for x, y in zip(got, want):
+            assert x.dtype == np.int64
+            np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pattern=_PATTERNS, pick=st.integers(0, 10**6))
+@example(pattern=(1, 0.0, 0), pick=0)
+@example(pattern=(6, 0.0, 0), pick=1)
+def test_slice_csr_matches_full_row_oracle(pattern, pick):
+    a, _ = _random_adjacency(pattern)
+    n = len(a)
+    rng = np.random.default_rng(pick)
+    nodes = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    indptr, indices = dense_csr(a)
+    got = graph_module._slice_csr(indptr, indices, nodes)
+    for x, y in zip(got, oracle_slice_csr(indptr, indices, nodes)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# working memory of the graph step, in int64 entry arrays (nnz x 8 bytes)
+# ---------------------------------------------------------------------------
+
+
+def _nbytes(*arrays) -> int:
+    return sum(a.nbytes for a in arrays)
+
+
+@pytest.fixture(scope="module")
+def sbm_4k():
+    g = generate_sbm((250,) * 16, p_in=0.04, p_out=0.001, feature_dim=4, feature_shift=1.0, seed=3)
+    return g, len(g.indices) * 8
+
+
+def test_build_graph_peak_stays_near_its_graph(sbm_4k):
+    g, entry_bytes = sbm_4k
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    upper = rows < g.indices
+    edges = np.column_stack([rows[upper], g.indices[upper]])
+    built, peak = traced_peak(lambda: build_graph(g.num_nodes, edges, g.features, g.labels, g.split))
+    np.testing.assert_array_equal(built.indices, g.indices)
+    # the sorted keys and their transposed copy, not scipy copies of the graph
+    assert peak - _nbytes(built.indptr, built.indices) < 3 * entry_bytes
+
+
+def test_normalize_adjacency_peak_stays_near_its_result(sbm_4k):
+    g, entry_bytes = sbm_4k
+    adj, peak = traced_peak(lambda: normalize_adjacency(g, self_loops=True))
+    # one gathered factor beside the result, no row array and no scipy A + I
+    assert peak - _nbytes(adj.indptr, adj.indices, adj.values, adj.degrees) < 2 * entry_bytes
+
+
+def test_induced_subgraph_peak_stays_near_its_result(sbm_4k):
+    g, entry_bytes = sbm_4k
+    nodes = np.flatnonzero(g.labels < 12)
+    sub, peak = traced_peak(lambda: induced_subgraph(g, nodes))
+    held = _nbytes(sub.indptr, sub.indices, sub.features, sub.labels, sub.split)
+    assert peak - held < 3 * entry_bytes
+
+
+def test_to_scipy_shares_the_operator_arrays(sbm_4k):
+    g, _ = sbm_4k
+    for loops in (False, True):
+        adj = normalize_adjacency(g, self_loops=loops)
+        m = adj.to_scipy()
+        assert isinstance(m, sp.csr_array)
+        assert np.shares_memory(m.indices, adj.indices)
+        assert np.shares_memory(m.indptr, adj.indptr)
+        assert np.shares_memory(m.data, adj.values)
 
 
 def test_split_nodes():
@@ -196,7 +373,7 @@ def test_spmm_reuses_one_scipy_matrix(monkeypatch):
     def no_rebuild(*args, **kwargs):
         raise AssertionError("the scipy matrix was built again")
 
-    monkeypatch.setattr(graph_module.sp, "csr_matrix", no_rebuild)
+    monkeypatch.setattr(graph_module.sp, "csr_array", no_rebuild)
     second = adj.spmm(x2)
     assert adj.to_scipy() is matrix
     np.testing.assert_allclose(first, dense @ x1, atol=1e-12)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from temcgl.harness import (
 from temcgl.model import MlpParams, _Workspace
 from temcgl.propagation import PropagationStrategy
 
-from helpers import arrays_held
+from helpers import arrays_held, traced_peak
 
 
 def _sbm(seed: int = 0, classes: int = 6, per_class: int = 30):
@@ -292,12 +291,7 @@ def test_run_working_set_stays_below_one_n_by_dim_matrix():
         sampler_id="uniform", budget=BudgetPolicy(count=2), inter_task_edges="drop_all",
         epochs=5, patience=5,
     )
-    tracemalloc.start()
-    try:
-        run_continual(g, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: run_continual(g, cfg))
     assert peak < g.num_nodes * 128 * 8
 
 

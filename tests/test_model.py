@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from helpers import (
     oracle_loss_and_grad,
     oracle_train_head,
     random_edges,
+    traced_peak,
 )
 
 
@@ -384,15 +384,8 @@ def test_one_epoch_allocates_no_batch_sized_array():
         _accuracy(params, scoring, valid_y)
 
     epoch()  # the optimiser allocates its state on its first step
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        current, _ = tracemalloc.get_traced_memory()
-        epoch()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - current < 400 * 256 * 8
+    _, peak = traced_peak(epoch)
+    assert peak < 400 * 256 * 8
 
 
 # ---------------------------------------------------------------------------
