@@ -25,6 +25,10 @@ writes for a two-sampler, two-fraction, three-seed study on a 100-node SBM.
 The `buffer/...` cases pin `serialize_buffer` for a buffer several write
 chunks long, built from four commits (one of zero rows), and the bytes
 `save_buffer` writes for the `load_buffer` copy of its file.
+
+The `model/...` cases pin the bytes `save_model` writes for freshly drawn
+heads of depth 1, 2 and 3, for the last `params_per_task` entry of a run
+with two hidden layers, and for the `load_model` copy of that entry's file.
 """
 from __future__ import annotations
 
@@ -47,7 +51,9 @@ from temcgl.config import config_hash, parse_config, serialize_config
 from temcgl.coverage import singleton_coverage_table
 from temcgl.graph import build_graph, generate_sbm, induced_subgraph, normalize_adjacency
 from temcgl.harness import EDGE_POLICIES, RunConfig, RunResult, run_continual
+from temcgl.model import init_mlp, load_model, save_model
 from temcgl.propagation import VARIANTS, PropagationStrategy, TEMatrix
+from temcgl.rng import component_rng
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -341,6 +347,31 @@ def _chunked_buffer_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
     }
 
 
+def _model_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
+    def saved(params, name):
+        save_model(params, tmp / name)
+        return (np.frombuffer((tmp / name).read_bytes(), dtype=np.uint8),)
+
+    out = {}
+    for depth, dims in enumerate(([6, 4], [6, 9, 4], [6, 9, 5, 4]), start=1):
+        params = init_mlp(dims, component_rng(depth, "model-init"))
+        out[f"model/depth{depth}"] = saved(params, f"{depth}.bin")
+    cfg = RunConfig(
+        strategy=PropagationStrategy("power", 2),
+        classes_per_task=2,
+        sampler_id="uniform",
+        budget=BudgetPolicy(fraction=0.2),
+        hidden_dims=(8, 5),
+        epochs=12,
+        patience=4,
+        seed=2,
+    )
+    result = run_continual(_sbm("four-equal"), cfg)
+    out["model/run"] = saved(result.params_per_task[-1], "run.bin")
+    out["model/run/resaved"] = saved(load_model(tmp / "run.bin"), "again.bin")
+    return out
+
+
 GOLDEN = {
     "sbm/four-equal": "531124158cf6953ce7750c10b54de9f4ef7afae7bde2f6f521957694142f3ae7",
     "normalize/four-equal/True": "bfe2fc879cac80ebe1741e0b06b60dd710984188de780d3d7a2c2368b78bc5cb",
@@ -422,6 +453,11 @@ GOLDEN = {
     "study/study_runs.csv": "292ed5f5007e20eb78f984db4f7a9a35328ba0dcf6cd72b996e63167d990a6a9",
     "buffer/chunked": "89144b2b69a01f87530aa8126033b8ee11aeed058a883af14e17aa4d46299a23",
     "buffer/chunked/resaved": "89144b2b69a01f87530aa8126033b8ee11aeed058a883af14e17aa4d46299a23",
+    "model/depth1": "8bf4ffa7396775b34681a602cf5371116301682ee2eb2762fae73c4f09bce5e4",
+    "model/depth2": "f148de4bd6a71f43d4f035e277fdd0ab1f704caaae5d42adb607c5d637bd7355",
+    "model/depth3": "bb5dc0c171799500cd0b93b295756f2c7a3b414a8a675569fb0d6446cc57a19f",
+    "model/run": "9a0711127a3f57b05afc398bf08f6a16f32d5e850bfd1cc25bc09b484ba31514",
+    "model/run/resaved": "9a0711127a3f57b05afc398bf08f6a16f32d5e850bfd1cc25bc09b484ba31514",
 }
 
 
@@ -431,6 +467,7 @@ def produced(tmp_path_factory) -> dict[str, str]:
         **_golden_arrays(),
         **_study_arrays(tmp_path_factory.mktemp("study")),
         **_chunked_buffer_arrays(tmp_path_factory.mktemp("buffer")),
+        **_model_arrays(tmp_path_factory.mktemp("model")),
     }
     return {**{k: _digest(*v) for k, v in arrays.items()}, **_config_digests()}
 
