@@ -127,8 +127,8 @@ def build_graph(
     Edges may appear in either direction, duplicated, or as self loops;
     they are symmetrised, deduplicated, and self loops are dropped.
     Missing features/labels/split default to a single zero feature, label
-    zero, and an all-train split. Edge endpoints and labels must be whole
-    numbers.
+    zero, and an all-train split. Edge endpoints, labels and split codes
+    must be whole numbers.
     """
     edges = _whole_numbers("edges", edges).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
@@ -157,10 +157,11 @@ def build_graph(
     if labels is None:
         labels = np.zeros(num_nodes, dtype=np.int64)
     labels = _whole_numbers("labels", labels)
-    if split is None:
-        split = np.full(num_nodes, TRAIN, dtype=np.int8)
-    split = np.asarray(split, dtype=np.int8)
-    return Graph(num_nodes, indptr, indices, features, labels, split)
+    split = _whole_numbers("split", np.full(num_nodes, TRAIN) if split is None else split)
+    # checked before the narrowing cast, which would turn 256 into TRAIN
+    if not np.all(np.isin(split, (TRAIN, VALID, TEST))):
+        raise ValueError("split codes must be train/valid/test")
+    return Graph(num_nodes, indptr, indices, features, labels, split.astype(np.int8))
 
 
 def _whole_numbers(name: str, values) -> np.ndarray:

@@ -153,6 +153,20 @@ def test_builders_refuse_values_that_are_not_whole_numbers():
     assert adj.restrict([1.0, 2.0]).num_nodes == 2
 
 
+def test_build_graph_refuses_split_codes_a_narrowing_cast_would_hide():
+    # an int8 cast turned both of these into [0, 1, 2]: node 0 became train
+    with pytest.raises(ValueError, match="^split must be whole numbers$"):
+        build_graph(3, [[0, 1]], split=np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="^split codes must be train/valid/test$"):
+        build_graph(3, [[0, 1]], split=np.array([256, 1, 2]))
+    with pytest.raises(ValueError, match="^split codes must be train/valid/test$"):
+        build_graph(3, [[0, 1]], split=np.array([-1, 1, 2]))
+    # whole codes stored as floats or wide integers still work
+    g = build_graph(3, [[0, 1]], split=np.array([2.0, 1.0, 0.0]))
+    assert g.split.dtype == np.int8 and g.split.tolist() == [2, 1, 0]
+    assert build_graph(3, [[0, 1]], split=np.array([1, 2, 0], dtype=np.int64)).split.tolist() == [1, 2, 0]
+
+
 # ---------------------------------------------------------------------------
 # int64 CSR kernels against the scipy round trips they replace
 # ---------------------------------------------------------------------------
