@@ -31,29 +31,49 @@ MODEL_MAGIC = b"TEMM"
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass
 class MlpParams:
-    """Weights/biases per layer; weight l maps (dims[l] -> dims[l+1])."""
+    """Weights/biases per layer; weight l maps (dims[l] -> dims[l+1]).
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    The constructor copies them into one float64 vector, `flat`, in
+    checkpoint order (W0, b0, W1, b1, ...) and keeps tuples of views of it;
+    the attributes cannot be reassigned, so no tensor leaves the vector.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases) or not self.weights:
+    __slots__ = ("_flat", "_weights", "_biases")
+    flat = property(lambda self: self._flat)
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
+
+    def __new__(cls, weights, biases) -> "MlpParams":
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must pair up, one per layer")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
+        dims = [weights[0].shape[0] if weights[0].ndim else -1] + [b.size for b in biases]
+        for w, b, fan_in, fan_out in zip(weights, biases, dims, dims[1:]):
+            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
                 raise ValueError("layer shape mismatch")
+        return cls._of(dims, np.concatenate([t.ravel() for wb in zip(weights, biases) for t in wb]))
+
+    @classmethod
+    def _of(cls, dims, flat: np.ndarray) -> "MlpParams":
+        params, weights, biases, at = object.__new__(cls), [], [], 0  # views `flat`, no copy
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+            biases.append(flat[at + fan_in * fan_out : at + (fan_in + 1) * fan_out])
+            at += (fan_in + 1) * fan_out
+        params._flat, params._weights, params._biases = flat, tuple(weights), tuple(biases)
+        return params
+
+    def __reduce__(self):  # so pickle and deepcopy keep one vector
+        return MlpParams._of, (self.layer_dims, self._flat)
 
     @property
     def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self._weights[0].shape[0]] + [b.size for b in self._biases]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams._of(self.layer_dims, self._flat.copy())
 
 
 def init_mlp(layer_dims, rng: np.random.Generator) -> MlpParams:
@@ -96,9 +116,7 @@ class _Workspace:
     def _init_training(self, params: MlpParams, y, sample_weight) -> None:
         n, num_out = self.logits.shape
         y = np.asarray(y, dtype=np.int64)
-        if sample_weight is None:
-            sample_weight = np.ones(n)
-        w = np.asarray(sample_weight, dtype=np.float64)
+        w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("sample weights must be non-negative, one per row")
         total = w.sum()
@@ -116,10 +134,7 @@ class _Workspace:
         self.shifted = np.empty((n, num_out))
         self.dh = [np.empty_like(h) for h in self.hs[1:]]
         self.active = [np.empty(h.shape, dtype=bool) for h in self.hs[1:]]
-        self.grads = MlpParams(
-            weights=[np.empty_like(w) for w in params.weights],
-            biases=[np.empty_like(b) for b in params.biases],
-        )
+        self.grads = MlpParams._of(params.layer_dims, np.empty_like(params.flat))
 
     def _init_scoring(self, classes) -> None:
         n, num_out = self.logits.shape
@@ -128,8 +143,11 @@ class _Workspace:
         self.classes = np.unique(np.asarray(classes, dtype=np.int64))
         if len(self.classes) == 0:
             raise ValueError("no allowed classes")
-        if self.classes[0] < 0 or self.classes[-1] >= num_out:
+        lo, hi = int(self.classes[0]), int(self.classes[-1])
+        if lo < 0 or hi >= num_out:
             raise ValueError("allowed class id outside the output layer")
+        # a contiguous range of classes is scored through a view, not a copy
+        self.columns = slice(lo, hi + 1) if hi - lo + 1 == len(self.classes) else self.classes
 
 
 def _activations(params: MlpParams, ws: _Workspace) -> list[np.ndarray]:
@@ -176,17 +194,17 @@ def _loss_and_grad(params: MlpParams, ws: _Workspace) -> tuple[float, MlpParams]
     logits = _logits(params, ws)
 
     # logp = logits - (peak + log(sum(exp(logits - peak)))), in `logits`
-    np.max(logits, axis=1, keepdims=True, out=ws.peak)
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.peak)
     np.subtract(logits, ws.peak, out=ws.shifted)
     np.exp(ws.shifted, out=ws.shifted)
-    np.sum(ws.shifted, axis=1, keepdims=True, out=ws.log_sum)
+    np.add.reduce(ws.shifted, axis=1, keepdims=True, out=ws.log_sum)
     np.log(ws.log_sum, out=ws.log_sum)
     ws.log_sum += ws.peak
     logp = np.subtract(logits, ws.log_sum, out=logits)
     flat = logp.reshape(-1)
     np.take(flat, ws.label_at, out=ws.picked)
     ws.picked *= ws.wn
-    loss = float(-ws.picked.sum())
+    loss = float(-np.add.reduce(ws.picked))
 
     dlogits = np.exp(logp, out=logp)
     np.take(flat, ws.label_at, out=ws.picked)
@@ -194,19 +212,14 @@ def _loss_and_grad(params: MlpParams, ws: _Workspace) -> tuple[float, MlpParams]
     flat[ws.label_at] = ws.picked
     dlogits *= ws.wn_col
 
-    grad_w, grad_b = ws.grads.weights, ws.grads.biases
-    np.matmul(hs[-1].T, dlogits, out=grad_w[-1])
-    np.sum(dlogits, axis=0, out=grad_b[-1])
-    if len(hs) > 1:
-        np.matmul(dlogits, params.weights[-1].T, out=ws.dh[-1])
-    for layer in range(len(params.weights) - 2, -1, -1):
-        dz = ws.dh[layer]
-        # relu(z) > 0 exactly where z > 0
-        dz *= np.greater(hs[layer + 1], 0.0, out=ws.active[layer])
-        np.matmul(hs[layer].T, dz, out=grad_w[layer])
-        np.sum(dz, axis=0, out=grad_b[layer])
+    dz = dlogits  # the gradient at layer `layer`'s output, before its ReLU
+    for layer in range(len(params.weights) - 1, -1, -1):
+        np.matmul(hs[layer].T, dz, out=ws.grads.weights[layer])
+        np.add.reduce(dz, axis=0, out=ws.grads.biases[layer])
         if layer:
-            np.matmul(dz, params.weights[layer].T, out=ws.dh[layer - 1])
+            dz = np.matmul(dz, params.weights[layer].T, out=ws.dh[layer - 1])
+            # relu(z) > 0 exactly where z > 0
+            dz *= np.greater(hs[layer], 0.0, out=ws.active[layer - 1])
     return loss, ws.grads
 
 
@@ -227,8 +240,8 @@ def _accuracy(params: MlpParams, ws: _Workspace, y: np.ndarray) -> float:
     if y.shape != (len(ws.hs[0]),):
         raise ValueError("labels must be one per row")
     logits = _logits(params, ws)
-    pred = ws.classes[np.argmax(logits[:, ws.classes], axis=1)]
-    return float(np.mean(pred == y))
+    pred = ws.classes[np.argmax(logits[:, ws.columns], axis=1)]
+    return float(np.count_nonzero(pred == y) / len(y))
 
 
 def class_balance_weights(labels: np.ndarray) -> np.ndarray:
@@ -287,14 +300,13 @@ def _replay_targets(
 class SgdOptimizer:
     def __init__(self, lr: float):
         self.lr = lr
-        self._scratch: list[np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: MlpParams, grads: MlpParams) -> None:
-        tensors = params.weights + params.biases
+        p = params.flat
         if self._scratch is None:
-            self._scratch = [np.empty_like(p) for p in tensors]
-        for p, g, step in zip(tensors, grads.weights + grads.biases, self._scratch):
-            p -= np.multiply(g, self.lr, out=step)
+            self._scratch = np.empty_like(p)
+        p -= np.multiply(grads.flat, self.lr, out=self._scratch)
 
 
 class AdamOptimizer:
@@ -302,34 +314,34 @@ class AdamOptimizer:
 
     def __init__(self, lr: float):
         self.lr = lr
-        self._state: list[tuple[np.ndarray, ...]] | None = None
+        self._state: np.ndarray | None = None
         self._t = 0
 
     def step(self, params: MlpParams, grads: MlpParams) -> None:
-        """One in-place update; per tensor it computes, in this order,
-        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-        p -= (lr * m/c1) / (sqrt(v/c2) + eps) with c_i = 1 - b_i**t."""
-        tensors = params.weights + params.biases
+        """One in-place update of the whole parameter vector; per element it
+        computes, in this order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+        and p -= (lr * m/c1) / (sqrt(v/c2) + eps) with c_i = 1 - b_i**t."""
+        p, g = params.flat, grads.flat
         if self._state is None:
-            # m, v and two scratch arrays per tensor
-            self._state = [tuple(np.zeros_like(p) for _ in range(4)) for p in tensors]
+            # m, v and two scratch vectors
+            self._state = np.zeros((4, p.size))
+        m, v, num, den = self._state
         self._t += 1
         b1, b2 = self.BETA1, self.BETA2
         c1, c2 = 1 - b1**self._t, 1 - b2**self._t
-        for p, g, (m, v, num, den) in zip(tensors, grads.weights + grads.biases, self._state):
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=num)
-            v *= b2
-            np.multiply(g, 1 - b2, out=num)
-            num *= g
-            v += num
-            np.divide(v, c2, out=den)
-            np.sqrt(den, out=den)
-            den += self.EPS
-            np.divide(m, c1, out=num)
-            num *= self.lr
-            num /= den
-            p -= num
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=num)
+        v *= b2
+        np.multiply(g, 1 - b2, out=num)
+        num *= g
+        v += num
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.EPS
+        np.divide(m, c1, out=num)
+        num *= self.lr
+        num /= den
+        p -= num
 
 
 def make_optimizer(name: str, lr: float):
@@ -378,8 +390,7 @@ def _train_head(
         acc = _accuracy(params, scoring, valid_y) if scoring else None
         if acc is None or acc > best_acc:
             best_acc, best_epoch = acc, epoch
-            for kept, current in zip(best.weights + best.biases, params.weights + params.biases):
-                np.copyto(kept, current)
+            np.copyto(best.flat, params.flat)
         elif epoch - best_epoch >= patience:
             break
     return best
@@ -397,9 +408,7 @@ def save_model(params: MlpParams, path) -> None:
     dims = params.layer_dims
     parts = [struct.pack(_MODEL_HEADER, MODEL_MAGIC, MODEL_FORMAT_VERSION, len(params.weights))]
     parts.append(struct.pack(f"<{len(dims)}I", *dims))
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.astype("<f8", copy=False).tobytes(order="C"))
-        parts.append(b.astype("<f8", copy=False).tobytes())
+    parts.append(params.flat.astype("<f8", copy=False).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -418,22 +427,11 @@ def load_model(path) -> MlpParams:
     if len(blob) < head + dims_size:
         raise ValueError(f"{path}: truncated model file")
     dims = struct.unpack_from(f"<{num_layers + 1}I", blob, head)
-    expected = head + dims_size + sum(
-        (dims[i] * dims[i + 1] + dims[i + 1]) * 8 for i in range(num_layers)
-    )
-    if len(blob) != expected:
+    if len(blob) != head + dims_size + 8 * sum(i * o + o for i, o in zip(dims, dims[1:])):
         raise ValueError(f"{path}: payload size mismatch")
-    offset = head + dims_size
-    weights, biases = [], []
-    for i in range(num_layers):
-        w_count = dims[i] * dims[i + 1]
-        w = np.frombuffer(blob, dtype="<f8", count=w_count, offset=offset)
-        offset += w_count * 8
-        b = np.frombuffer(blob, dtype="<f8", count=dims[i + 1], offset=offset)
-        offset += dims[i + 1] * 8
-        weights.append(w.reshape(dims[i], dims[i + 1]).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return MlpParams(weights=weights, biases=biases)
+    if num_layers == 0:
+        raise ValueError(f"{path}: a model needs at least one layer")
+    return MlpParams._of(dims, np.frombuffer(blob, "<f8", offset=head + dims_size).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,15 @@ def central_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> li
 
 
 def arrays_held(obj) -> list[np.ndarray]:
-    """Every array an object's attributes hold directly, in lists, or as the
-    `weights` and `biases` of a parameter set."""
+    """Every array an object's attributes hold directly, in lists or tuples,
+    or as the `flat` vector of a parameter set."""
     found = []
     for value in vars(obj).values():
-        if hasattr(value, "weights") and hasattr(value, "biases"):
-            value = value.weights + value.biases
+        if isinstance(value, MlpParams):
+            value = value.flat
         if isinstance(value, np.ndarray):
             value = [value]
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             found.extend(a for a in value if isinstance(a, np.ndarray))
     return found
 

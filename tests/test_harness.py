@@ -8,6 +8,7 @@ import pytest
 
 from temcgl.buffer import BudgetPolicy
 from temcgl.graph import TRAIN, build_graph, generate_sbm
+from temcgl import harness as harness_module
 from temcgl import model as model_module
 from temcgl.harness import (
     AccuracyMatrix,
@@ -244,6 +245,24 @@ def test_kept_params_share_no_memory_with_training_arrays(monkeypatch):
     for i, a in enumerate(kept):
         assert not any(np.shares_memory(a, b) for b in reused)
         assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
+
+
+def test_kept_heads_share_no_memory_with_the_live_head(monkeypatch):
+    live = []
+
+    def recorded(params, *args):
+        best = model_module._train_head(params, *args)
+        live.extend([params, best])
+        return best
+
+    monkeypatch.setattr(harness_module, "_train_head", recorded)
+    res = run_continual(_sbm(seed=3), _cfg(seed=11, epochs=20))
+    assert len(live) == 2 * len(res.params_per_task)
+    for kept in res.params_per_task:
+        assert not any(np.shares_memory(kept.flat, head.flat) for head in live)
+    for i, kept in enumerate(res.params_per_task):
+        for other in res.params_per_task[i + 1 :]:
+            assert not np.shares_memory(kept.flat, other.flat)
 
 
 def test_replay_retains_earlier_tasks_better_than_finetune():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from helpers import (
     dense_propagation_matrix,
     oracle_forward,
     oracle_loss_and_grad,
+    oracle_masked_accuracy,
     oracle_train_head,
     random_edges,
     traced_peak,
@@ -95,6 +99,85 @@ def test_params_copy_is_deep():
     clone = params.copy()
     clone.weights[0][0, 0] += 1.0
     assert params.weights[0][0, 0] != clone.weights[0][0, 0]
+
+
+# ---------------------------------------------------------------------------
+# one parameter vector
+# ---------------------------------------------------------------------------
+
+
+def _assert_checkpoint_layout(params: MlpParams) -> None:
+    """Every tensor is a C-contiguous view of `flat`, in the order W0, b0, W1,
+    b1, ..., with nothing before, between or after them."""
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    assert flat.flags.writeable
+    start, at = flat.__array_interface__["data"][0], 0
+    for w, b in zip(params.weights, params.biases):
+        for tensor in (w, b):
+            assert tensor.flags.c_contiguous and np.shares_memory(tensor, flat)
+            assert tensor.__array_interface__["data"][0] == start + 8 * at
+            at += tensor.size
+    assert at == flat.size
+    assert params.layer_dims == [params.weights[0].shape[0]] + [b.size for b in params.biases]
+
+
+@pytest.mark.parametrize("dims", [[5, 3], [5, 7, 3], [5, 7, 6, 3]])
+def test_every_parameter_set_is_one_vector_in_checkpoint_order(tmp_path, dims):
+    params = init_mlp(dims, component_rng(0, "model-init"))
+    save_model(params, tmp_path / "model.bin")
+    built = MlpParams(weights=list(params.weights), biases=list(params.biases))
+    x, y = np.ones((4, dims[0])), np.zeros(4, dtype=np.int64)
+    grads = loss_and_grad(params, x, y)[1]
+    sets = [params, params.copy(), built, load_model(tmp_path / "model.bin"), grads,
+            copy.deepcopy(params), pickle.loads(pickle.dumps(params))]
+    for other in sets:
+        _assert_checkpoint_layout(other)
+    for other in sets[1:4] + sets[5:]:
+        assert _same_bits(other.flat, params.flat)
+        assert not np.shares_memory(other.flat, params.flat)
+    # the constructor copies what it is given
+    assert not any(np.shares_memory(built.flat, t) for t in _tensors(params))
+    # a write through a view lands in the vector, and the other way round
+    params.weights[-1][0, 0] = 7.5
+    params.flat[dims[0] * dims[1]] = -2.5  # the first entry of b0
+    assert params.flat[0] != 7.5 or len(dims) == 2
+    assert params.flat[params.flat.size - dims[-1] - dims[-2] * dims[-1]] == 7.5
+    assert params.biases[0][0] == -2.5
+
+
+def test_layers_cannot_be_swapped_out_from_under_the_vector():
+    params = init_mlp([4, 5, 3], component_rng(1, "model-init"))
+    with pytest.raises(TypeError):
+        params.weights[0] = np.zeros((4, 5))
+    with pytest.raises(TypeError):
+        params.biases[1] = np.zeros(3)
+    for name in ("weights", "biases", "flat", "layer_dims"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, getattr(params, name))
+    with pytest.raises(AttributeError):
+        params.extra = 1
+    _assert_checkpoint_layout(params)
+
+
+def test_params_refuse_layers_that_do_not_chain():
+    with pytest.raises(ValueError, match="^layer shape mismatch$"):
+        MlpParams(weights=[np.zeros((4, 5)), np.zeros((6, 3))], biases=[np.zeros(5), np.zeros(3)])
+    with pytest.raises(ValueError, match="^layer shape mismatch$"):
+        MlpParams(weights=[np.zeros((4, 5))], biases=[np.zeros(4)])
+    with pytest.raises(ValueError, match="^weights and biases must pair up"):
+        MlpParams(weights=[], biases=[])
+
+
+def test_init_mlp_draws_are_unchanged():
+    # weight then bias, layer by layer, each uniform in +-1/sqrt(fan_in)
+    dims = [6, 9, 5, 4]
+    params = init_mlp(dims, component_rng(5, "model-init"))
+    rng = component_rng(5, "model-init")
+    for fan_in, fan_out, w, b in zip(dims[:-1], dims[1:], params.weights, params.biases):
+        bound = 1.0 / np.sqrt(fan_in)
+        assert _same_bits(w, rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        assert _same_bits(b, rng.uniform(-bound, bound, size=fan_out))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +335,16 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_int64(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal as raw 64-bit patterns, so +0.0 and -0.0 (or two NaNs) differ."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
+        np.ascontiguousarray(b, dtype=np.float64).view(np.int64),
+    )
+
+
 def _tensors(params: MlpParams) -> list[np.ndarray]:
-    return params.weights + params.biases
+    return [*params.weights, *params.biases]
 
 
 def _head_case(seed, dims, n, weighted):
@@ -333,6 +424,93 @@ def test_train_head_matches_allocating_oracle(
         assert _same_bits(got, want)
 
 
+# depth 1-3: an input width, up to two hidden widths and the output width
+_layer_dims = st.lists(st.one_of(st.integers(1, 12), st.sampled_from([64, 256])), min_size=2, max_size=4)
+
+
+def _signed_zeros(rng: np.random.Generator, a: np.ndarray) -> np.ndarray:
+    """`a` with about a tenth of its entries set to +0.0 and a tenth to -0.0."""
+    pick = rng.random(a.shape)
+    a[pick < 0.1] = 0.0
+    a[pick > 0.9] = -0.0
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=_layer_dims,
+    name=st.sampled_from(["sgd", "adam"]),
+    steps=st.integers(1, 80),
+)
+def test_flat_optimizers_match_per_tensor_oracles(seed, dims, name, steps):
+    rng = np.random.default_rng(seed)
+    params = init_mlp(dims, rng)
+    _signed_zeros(rng, params.flat)
+    ref = [a.copy() for a in _tensors(params)]
+    optimizer, oracle = make_optimizer(name, 0.05), _oracle_optimizer(name, 0.05)
+    grads = params.copy()
+    for _ in range(steps):
+        scale = 10.0 ** rng.integers(-8, 3)
+        grads.flat[:] = _signed_zeros(rng, scale * rng.standard_normal(grads.flat.size))
+        optimizer.step(params, grads)
+        oracle.step(ref, [g.copy() for g in _tensors(grads)])
+        for got, want in zip(_tensors(params), ref):
+            assert _same_int64(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=_layer_dims,
+    n=st.integers(1, 300),
+    n_valid=st.one_of(st.just(0), st.integers(1, 80)),
+    contiguous=st.booleans(),
+    weighted=st.booleans(),
+    name=st.sampled_from(["sgd", "adam"]),
+    epochs=st.integers(1, 60),
+    patience=st.integers(1, 60),
+)
+def test_train_head_matches_per_tensor_oracle_over_many_epochs(
+    seed, dims, n, n_valid, contiguous, weighted, name, epochs, patience
+):
+    rng, params, x, y, w = _head_case(seed, dims, n, weighted)
+    classes = dims[-1]
+    valid_x = rng.standard_normal((n_valid, dims[0]))
+    valid_y = rng.integers(0, classes, size=n_valid)
+    if contiguous:
+        lo = int(rng.integers(0, classes))
+        allowed = np.arange(lo, int(rng.integers(lo + 1, classes + 1)))
+    else:
+        allowed = rng.choice(classes, size=int(rng.integers(1, classes + 1)), replace=False)
+    live = [a.copy() for a in _tensors(params)]
+    ref = oracle_train_head(
+        live[: len(dims) - 1], live[len(dims) - 1 :], _oracle_optimizer(name, 0.05),
+        x, y, w, valid_x, valid_y, allowed, epochs, patience,
+    )
+    best = _train_head(
+        params, make_optimizer(name, 0.05), x, y, w, valid_x, valid_y, allowed, epochs, patience
+    )
+    for got, want in zip(_tensors(best), ref[0] + ref[1]):
+        assert _same_int64(got, want)
+    # the head itself is trained in place, as the oracle trains its lists
+    for got, want in zip(_tensors(params), live):
+        assert _same_int64(got, want)
+    assert not np.shares_memory(best.flat, params.flat)
+
+
+def test_accuracy_scores_a_class_range_through_a_view():
+    _, params, x, _, _ = _head_case(6, [5, 8, 7], 40, False)
+    y = np.arange(40) % 7
+    for allowed in ([2, 3, 4], [4, 2, 3, 3], [0, 1, 2, 3, 4, 5, 6], [1, 3, 4], [6]):
+        scoring = _Workspace(params, x, classes=allowed)
+        contiguous = np.ptp(np.unique(allowed)) + 1 == len(np.unique(allowed))
+        assert isinstance(scoring.columns, slice) == contiguous
+        acc = _accuracy(params, scoring, y)
+        assert type(acc) is float
+        assert acc == oracle_masked_accuracy(list(params.weights), list(params.biases), x, y, allowed)
+
+
 def test_loss_and_grad_rejects_labels_outside_the_output_layer():
     _, params, x, _, _ = _head_case(0, [4, 6, 3], 10, True)
     with pytest.raises(ValueError, match="one output class per row"):
@@ -370,12 +548,13 @@ def test_kept_results_share_no_memory_with_a_workspace():
         assert not any(np.shares_memory(kept, a) for a in arrays_held(workspace))
 
 
-def test_one_epoch_allocates_no_batch_sized_array():
-    rng, params, x, y, w = _head_case(4, [16, 256, 10], 400, True)
-    valid_x, valid_y = rng.standard_normal((400, 16)), rng.integers(0, 10, size=400)
-    allowed = np.arange(10)
+def _epoch_peak(dims: list[int], rows: int) -> tuple[int, MlpParams]:
+    """The `tracemalloc` peak of one training and scoring epoch after the
+    first, once the optimiser holds its state."""
+    rng, params, x, y, w = _head_case(4, dims, rows, True)
+    valid_x, valid_y = rng.standard_normal((rows, dims[0])), rng.integers(0, dims[-1], size=rows)
     train = _Workspace(params, x, y, w)
-    scoring = _Workspace(params, valid_x, classes=allowed)
+    scoring = _Workspace(params, valid_x, classes=np.arange(dims[-1]))
     optimizer = make_optimizer("adam", 0.01)
 
     def epoch():
@@ -384,8 +563,17 @@ def test_one_epoch_allocates_no_batch_sized_array():
         _accuracy(params, scoring, valid_y)
 
     epoch()  # the optimiser allocates its state on its first step
-    _, peak = traced_peak(epoch)
+    return traced_peak(epoch)[1], params
+
+
+def test_one_epoch_allocates_no_batch_sized_array():
+    peak, _ = _epoch_peak([16, 256, 10], 400)
     assert peak < 400 * 256 * 8
+    # Nor one of the parameters' size: the optimiser steps the vector in place.
+    # The head is wide enough that its vector outweighs the fixed 8,192-element
+    # buffer numpy takes for the broadcast bias add and the ReLU mask multiply.
+    peak, params = _epoch_peak([64, 512, 10], 50)
+    assert peak < params.flat.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +602,10 @@ def test_model_checkpoint_round_trip(tmp_path):
     trunc.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(ValueError):
         load_model(trunc)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(path.read_bytes()[:8] + struct.pack("<II", 0, 5))  # no layers, width 5
+    with pytest.raises(ValueError, match="at least one layer"):
+        load_model(empty)
 
 
 # ---------------------------------------------------------------------------
