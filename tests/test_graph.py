@@ -164,7 +164,8 @@ def test_build_graph_refuses_split_codes_a_narrowing_cast_would_hide():
     # whole codes stored as floats or wide integers still work
     g = build_graph(3, [[0, 1]], split=np.array([2.0, 1.0, 0.0]))
     assert g.split.dtype == np.int8 and g.split.tolist() == [2, 1, 0]
-    assert build_graph(3, [[0, 1]], split=np.array([1, 2, 0], dtype=np.int64)).split.tolist() == [1, 2, 0]
+    g = build_graph(3, [[0, 1]], split=np.array([1, 2, 0], dtype=np.int64))
+    assert g.split.dtype == np.int8 and g.split.tolist() == [1, 2, 0]
 
 
 # ---------------------------------------------------------------------------
