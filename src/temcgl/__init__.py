@@ -17,7 +17,7 @@ of run-config overrides with one row per run),
 command).
 """
 
-from .buffer import BudgetPolicy, MemoryBuffer, load_buffer, save_buffer
+from .buffer import BudgetPolicy, MemoryBuffer, load_buffer, save_buffer, serialize_buffer
 from .coverage import coverage_max_sample, coverage_ratio, singleton_coverage_table
 from .graph import (
     Graph,
@@ -101,6 +101,7 @@ __all__ = [
     "save_buffer",
     "save_graph_files",
     "save_model",
+    "serialize_buffer",
     "singleton_coverage_table",
     "subnetwork_te",
 ]

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .coverage import coverage_max_sample
-from .graph import Graph
+from .graph import Graph, _int_fields
 from .propagation import TEMatrix
 
 SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
@@ -55,6 +55,7 @@ class BudgetPolicy:
     fraction: float | None = None
 
     def __post_init__(self) -> None:
+        _int_fields(self, "count")
         if (self.count is None) == (self.fraction is None):
             raise ValueError("set exactly one of count / fraction")
         if self.count is not None and self.count < 0:

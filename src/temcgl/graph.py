@@ -379,6 +379,14 @@ def _as_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _int_fields(obj, *names: str) -> None:
+    """Refuse each named field of the frozen dataclass `obj` that is set but
+    not an integer, and store the others as `int`."""
+    for name in names:
+        if (value := getattr(obj, name)) is not None:
+            object.__setattr__(obj, name, _as_int(name, value))
+
+
 def _sbm_edges(sizes: list[int], p_in: float, p_out: float, rng: np.random.Generator) -> np.ndarray:
     """Edge array of the planted partition, drawn from ``rng``'s stream.
 

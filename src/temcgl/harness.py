@@ -5,8 +5,9 @@ of a few new classes, recomputes topology-aware embeddings on the currently
 visible subgraph, trains the shared head (optionally rehearsing buffered
 embeddings), and then scores every task seen so far. Because embeddings are
 produced by a parameter-free operator, rows stored in the buffer stay valid
-across tasks and replay needs no stored neighbourhoods. The head's training
-loop and masked accuracy live in `model` and are re-exported here. A study
+across tasks and replay needs no stored neighbourhoods. The head's batch
+(rows, labels and weights) is built here; its training loop and masked
+accuracy live in `model`, and the latter is re-exported here. A study
 runs one base config at every point of a grid of `RunConfig` overrides and
 at every seed, and returns one row per run.
 """
@@ -24,11 +25,13 @@ import numpy as np
 
 from .buffer import SAMPLER_IDS, BudgetPolicy, MemoryBuffer
 from .coverage import coverage_ratio
-from .graph import TEST, TRAIN, VALID, Graph, induced_subgraph, normalize_adjacency
+from .graph import (
+    TEST, TRAIN, VALID, Graph, _as_int, _int_fields, induced_subgraph, normalize_adjacency,
+)
 from .model import (
     MlpParams,
-    _replay_targets,
     _train_head,
+    class_balance_weights,
     init_mlp,
     make_optimizer,
     masked_accuracy,
@@ -202,7 +205,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        _int_fields(self, "classes_per_task", "coverage_hops", "epochs", "patience", "seed")
+        dims = tuple(_as_int("hidden_dims", d) for d in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", dims)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.scenario not in SCENARIOS:
@@ -314,15 +319,15 @@ def _head_batch(
     buffer: MemoryBuffer, replayed: int, labels: np.ndarray,
 ) -> tuple:
     """The head's batch `(x, y, w, valid_x, valid_y)`: the (train, valid) rows
-    of `fits`, by task id, then the first `replayed` rows of `buffer`, with
-    `replay_batch`'s labels and weights. `x` is a view of the buffer's store
-    that the next batch overwrites."""
+    of `fits`, by task id, then the first `replayed` rows of `buffer`. `y`
+    holds their labels; `w` is `class_balance_weights(y)` (or ones), with the
+    replayed rows' weights then multiplied by `cfg.replay_lambda`. `x` is a
+    view of the buffer's store that the next batch overwrites."""
     fit = [tasks[task_id] for task_id in fits]
     x = buffer._batch([train for train, _ in fits.values()], replayed)
-    y, w = _replay_targets(
-        labels[np.concatenate([t.train_nodes for t in fit])], buffer.label[:replayed],
-        cfg.replay_lambda, cfg.class_balance,
-    )
+    y = np.concatenate([labels[t.train_nodes] for t in fit] + [buffer.label[:replayed]])
+    w = class_balance_weights(y) if cfg.class_balance else np.ones(len(y))
+    w[len(y) - replayed :] *= cfg.replay_lambda
     valid_x = np.concatenate([valid for _, valid in fits.values()])
     return x, y, w, valid_x, labels[np.concatenate([t.valid_nodes for t in fit])]
 
@@ -545,7 +550,7 @@ def study_configs(
     for name in grid:
         if name == "seed" or name not in RunConfig.__dataclass_fields__:
             raise ValueError(f"{name!r} is not a grid axis; use RunConfig fields other than seed")
-    axes = {**{name: tuple(v) for name, v in grid.items()}, "seed": tuple(map(int, seeds))}
+    axes = {**{name: tuple(v) for name, v in grid.items()}, "seed": tuple(seeds)}
     for name, values in axes.items():
         if not values:
             raise ValueError(f"the {name} axis is empty")

@@ -2,11 +2,12 @@
 gradients, masked accuracy, plain SGD/Adam, the early-stopping training
 loop, and the replay-gradient identity check.
 
-Training never touches the graph — the head only ever sees embedding rows
-(current task's or replayed from the buffer). The loss is weighted
-cross-entropy normalised by total weight, so per-sample weights can encode
-both class-size rebalancing and a replay multiplier without changing the
-loss scale. The training loop keeps one private workspace per batch, so an
+Training never touches the graph or the buffer: the head only ever sees a
+batch of embedding rows with labels and per-row weights, which
+`harness._head_batch` builds. The loss is weighted cross-entropy
+normalised by total weight, so the weights can encode class-size
+rebalancing or a replay multiplier without changing the loss scale.
+The training loop keeps one private workspace per batch, so an
 epoch allocates no batch-sized array; the public functions build a
 throwaway workspace and run the same arithmetic.
 
@@ -254,42 +255,6 @@ def class_balance_weights(labels: np.ndarray) -> np.ndarray:
     classes, counts = np.unique(labels, return_counts=True)
     per_class = len(labels) / (len(classes) * counts)
     return per_class[np.searchsorted(classes, labels)]
-
-
-def replay_batch(
-    current_x: np.ndarray,
-    current_y: np.ndarray,
-    replay_x: np.ndarray,
-    replay_y: np.ndarray,
-    replay_lambda: float = 1.0,
-    class_balance: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the current task's rows with buffered ones and weight them.
-
-    Class balancing runs over the combined batch (the replay analogue of
-    rescaling the loss by class size); `replay_lambda` then multiplies the
-    buffered rows only.
-    """
-    y, w = _replay_targets(current_y, replay_y, replay_lambda, class_balance)
-    current_x = np.asarray(current_x, dtype=np.float64)
-    # An empty buffer's te is (0, 0) and would not stack onto (n, dim) rows.
-    x = np.vstack([current_x, replay_x]) if len(replay_y) else current_x.copy()
-    return x, y, w
-
-
-def _replay_targets(
-    current_y: np.ndarray, replay_y: np.ndarray, replay_lambda: float, class_balance: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The labels and sample weights of `replay_batch`, without its rows."""
-    if not np.isfinite(replay_lambda):
-        raise ValueError(f"replay_lambda must be finite, got {replay_lambda}")
-    if replay_lambda < 0:
-        raise ValueError("replay_lambda must be >= 0")
-    current_y = np.asarray(current_y, dtype=np.int64)
-    y = np.concatenate([current_y, np.asarray(replay_y, dtype=np.int64)])
-    w = class_balance_weights(y) if class_balance else np.ones(len(y))
-    w[len(current_y) :] *= replay_lambda
-    return y, w
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NormalizedAdjacency, bfs_ball
+from .graph import Graph, NormalizedAdjacency, _int_fields, bfs_ball
 from .rng import component_rng
 
 LINEAR_VARIANTS = ("power", "hop_average", "lazy_power")
@@ -48,6 +48,7 @@ class PropagationStrategy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _int_fields(self, "hops", "hidden_dim", "seed")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown propagation variant {self.variant!r}")
         if self.hops < 1:

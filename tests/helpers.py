@@ -32,7 +32,6 @@ from temcgl.model import (
     class_balance_weights,
     init_mlp,
     make_optimizer,
-    replay_batch,
 )
 from temcgl.propagation import compute_tes
 from temcgl.rng import component_rng
@@ -439,6 +438,21 @@ class ConcatBuffer:
 # overlap of one task's graph side with the previous task's head.
 
 
+def oracle_replay_batch(current_x, current_y, replay_x, replay_y, replay_lambda: float,
+                        class_balance: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head's batch as new arrays: the current rows stacked onto the
+    replayed ones, their labels, and weights balanced over the whole batch
+    with the replayed rows' then multiplied by `replay_lambda`."""
+    current_y = np.asarray(current_y, dtype=np.int64)
+    y = np.concatenate([current_y, np.asarray(replay_y, dtype=np.int64)])
+    w = class_balance_weights(y) if class_balance else np.ones(len(y))
+    w[len(current_y) :] *= replay_lambda
+    current_x = np.asarray(current_x, dtype=np.float64)
+    # An empty buffer's te is (0, 0) and would not stack onto (n, dim) rows.
+    x = np.vstack([current_x, replay_x]) if len(replay_y) else current_x.copy()
+    return x, y, w
+
+
 def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     """`run_continual` as one sequential loop: each task's graph side, then
     its head, then the next task.
@@ -495,7 +509,7 @@ def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
             w = class_balance_weights(y) if cfg.class_balance else None
             valid_x, valid_y = eval_te[valid_nodes], g.labels[valid_nodes]
         else:
-            x, y, w = replay_batch(
+            x, y, w = oracle_replay_batch(
                 tes.values[local_train],
                 sub.labels[local_train],
                 buffer.te,

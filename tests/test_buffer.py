@@ -60,8 +60,15 @@ def test_budget_policy_validation():
         BudgetPolicy(fraction=1.5)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+def test_budget_policy_refuses_a_non_integer_count(count):
+    with pytest.raises(ValueError, match="^count must be an integer"):
+        BudgetPolicy(count=count)
+
+
 def test_budget_policy_resolution():
     assert BudgetPolicy(count=5).resolve(100) == 5
+    assert type(BudgetPolicy(count=np.int64(5)).resolve(100)) is int
     assert BudgetPolicy(fraction=0.01).resolve(240) == 2
     assert BudgetPolicy(fraction=0.004).resolve(100) == 1  # floors at one entry
     assert BudgetPolicy(fraction=1.0).resolve(7) == 7

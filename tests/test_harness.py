@@ -6,14 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from temcgl.buffer import BudgetPolicy
+from temcgl.buffer import BudgetPolicy, MemoryBuffer
 from temcgl.graph import TRAIN, build_graph, generate_sbm
 from temcgl import harness as harness_module
 from temcgl import model as model_module
 from temcgl.harness import (
+    REGIMES,
     AccuracyMatrix,
     RunConfig,
     StudyRow,
+    TaskSpec,
     build_task_sequence,
     masked_accuracy,
     run_continual,
@@ -28,7 +30,7 @@ from temcgl.harness import (
 from temcgl.model import MlpParams, _Workspace
 from temcgl.propagation import PropagationStrategy
 
-from helpers import arrays_held, traced_peak
+from helpers import arrays_held, oracle_replay_batch, traced_peak
 
 
 def _sbm(seed: int = 0, classes: int = 6, per_class: int = 30):
@@ -227,6 +229,63 @@ def test_run_continual_shapes_and_determinism():
     assert stats[-1].bytes == res.buffer.footprint_bytes()
 
 
+def _buffer_of(te: np.ndarray, labels: np.ndarray) -> MemoryBuffer:
+    buffer = MemoryBuffer(BudgetPolicy(count=1))
+    if len(labels):
+        buffer._append(te, labels, np.zeros(len(labels), dtype=np.int64), np.arange(len(labels)))
+    return buffer
+
+
+@pytest.mark.parametrize("replay_lambda", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("class_balance", [True, False])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_head_batch_matches_the_oracle(regime, class_balance, replay_lambda):
+    cfg = _cfg(regime=regime, class_balance=class_balance, replay_lambda=replay_lambda)
+
+    def check(tasks, fits, buffer, replayed, labels):
+        x, y, w, valid_x, valid_y = harness_module._head_batch(
+            cfg, tasks, fits, buffer, replayed, labels
+        )
+        fit = [tasks[task_id] for task_id in fits]
+        want_x, want_y, want_w = oracle_replay_batch(
+            np.concatenate([train for train, _ in fits.values()]),
+            labels[np.concatenate([t.train_nodes for t in fit])],
+            buffer.te[:replayed], buffer.label[:replayed], replay_lambda, class_balance,
+        )
+        np.testing.assert_array_equal(x, want_x)
+        assert y.dtype == want_y.dtype and y.tolist() == want_y.tolist()
+        assert w.view(np.int64).tolist() == want_w.view(np.int64).tolist()
+        np.testing.assert_array_equal(valid_x, np.concatenate([v for _, v in fits.values()]))
+        assert valid_y.tolist() == labels[np.concatenate([t.valid_nodes for t in fit])].tolist()
+        return x, y, w
+
+    # Hand case: two current rows of class 0, then two buffered rows of
+    # class 1. Balance gives every row 1.0, and lambda then scales the
+    # buffered ones.
+    hand = [TaskSpec(0, (0,), np.array([0, 1]), np.array([0]), np.array([1]))]
+    fits = {0: (np.zeros((2, 3)), np.zeros((1, 3)))}
+    buffer = _buffer_of(np.stack([np.ones(3), 2 * np.ones(3)]), np.array([1, 1]))
+    x, y, w = check(hand, fits, buffer, 2, np.array([0, 0]))
+    assert x.tolist() == [[0.0] * 3, [0.0] * 3, [1.0] * 3, [2.0] * 3]
+    assert y.tolist() == [0, 0, 1, 1] and w.tolist() == [1.0, 1.0, replay_lambda, replay_lambda]
+    x, y, w = check(hand, fits, _buffer_of(np.empty((0, 0)), np.array([])), 0, np.array([0, 0]))
+    assert x.shape == (2, 3) and w.tolist() == [1.0, 1.0]
+
+    # The last task of an SBM run: its own rows, or every task's under
+    # "joint", then none, some or all of a buffer that holds more rows than
+    # the batch replays, as a commit leaves it.
+    g = _sbm(seed=1)
+    tasks = build_task_sequence(g, 2)
+    rng = np.random.default_rng(0)
+    fits = {
+        t.task_id: (rng.normal(size=(len(t.train_nodes), 4)), rng.normal(size=(len(t.valid_nodes), 4)))
+        for t in (tasks if regime == "joint" else tasks[-1:])
+    }
+    buffer = _buffer_of(rng.normal(size=(9, 4)), rng.integers(0, 4, size=9))
+    for replayed in (0, 5, 9):
+        check(tasks, fits, buffer, replayed, g.labels)
+
+
 def test_kept_params_share_no_memory_with_training_arrays(monkeypatch):
     built = []
 
@@ -341,6 +400,30 @@ def test_run_config_rejects_non_finite_numbers(field, value):
     # a non-finite rate or replay weight would train to NaN parameters
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         _cfg(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("classes_per_task", 1.5),
+        ("coverage_hops", 1.5),
+        ("epochs", 2.5),
+        ("patience", 1.5),
+        ("seed", 1.5),
+        ("hidden_dims", (2.5,)),
+    ],
+)
+def test_run_config_refuses_non_integers(field, value):
+    # each was accepted, then truncated or failed inside the run
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _cfg(**{field: value})
+
+
+def test_run_config_takes_numpy_integers_as_ints():
+    ints = dict(classes_per_task=2, coverage_hops=1, epochs=5, patience=3, seed=7)
+    cfg = _cfg(**{k: np.int64(v) for k, v in ints.items()}, hidden_dims=(np.int32(4),))
+    assert cfg == _cfg(**ints, hidden_dims=(4,))
+    assert {type(getattr(cfg, k)) for k in ints} | {type(cfg.hidden_dims[0])} == {int}
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +561,12 @@ def test_run_study_rejects_repeated_seeds_before_any_run():
 def test_run_study_refuses_a_bad_grid_before_any_run(grid, message):
     with pytest.raises(ValueError, match=message):
         run_study(_never_called, _cfg(), grid, seeds=(0, 1))
+
+
+def test_run_study_refuses_a_non_integer_seed_before_any_run():
+    # a seed of 1.5 used to run as seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5"):
+        run_study(_never_called, _cfg(), {"sampler_id": ("uniform",)}, seeds=(0, 1.5))
 
 
 def test_run_study_refuses_no_seeds_and_no_jobs():

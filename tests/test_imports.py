@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports, every private
-module-level name is referenced somewhere in the package, only `model.py`
-names the head's private workspace, and every public function and class
-has a docstring (a dataclass's generated signature is not one).
+module-level name is referenced somewhere in the package, every public
+module-level function and class is exported or used elsewhere in the
+package, only `model.py` names the head's private workspace, and every
+public function and class has a docstring (a dataclass's generated
+signature is not one).
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.
@@ -101,6 +103,24 @@ def test_private_names_are_referenced(path: Path):
         if not any(name in refs for stmt, refs in statements if stmt is not node)
     }
     assert not orphans, f"{path.name} defines private names nothing references: {orphans}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_names_are_used_or_exported(path: Path):
+    # A public function or class that only tests call is surface kept for
+    # nothing. `__init__.py` is left out of the references: its imports
+    # export a name only through `__all__`.
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    statements = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = {
+        node.name: node.lineno
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in temcgl.__all__
+        and not any(node.name in refs for stmt, refs in statements if stmt is not node)
+    }
+    assert not unused, f"{path.name} defines public names neither exported nor used: {unused}"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from temcgl.buffer import BudgetPolicy, MemoryBuffer
 from temcgl.graph import build_graph, normalize_adjacency
 from temcgl.model import (
     MlpParams,
@@ -26,7 +25,6 @@ from temcgl.model import (
     mlp_forward,
     mlp_hidden,
     pseudo_gradient_check,
-    replay_batch,
     save_model,
 )
 from temcgl.propagation import PropagationStrategy, propagation_row
@@ -242,34 +240,6 @@ def test_class_balance_weights_sum_to_n(raw_labels: list[int]):
     totals = {cls: w[labels == cls].sum() for cls in set(raw_labels)}
     values = list(totals.values())
     np.testing.assert_allclose(values, values[0])
-
-
-def test_replay_batch_composition():
-    cur_x = np.zeros((2, 3))
-    cur_y = np.array([0, 0])
-    replay_x = np.stack([np.ones(3), 2 * np.ones(3)])
-    replay_y = np.array([1, 1])
-    x, y, w = replay_batch(cur_x, cur_y, replay_x, replay_y, replay_lambda=0.5, class_balance=False)
-    assert x.shape == (4, 3)
-    assert y.tolist() == [0, 0, 1, 1]
-    np.testing.assert_allclose(w, [1.0, 1.0, 0.5, 0.5])
-
-    x2, y2, w2 = replay_batch(cur_x, cur_y, replay_x, replay_y, replay_lambda=2.0, class_balance=True)
-    # balance gives everyone 1.0 here (two per class), lambda then doubles replays
-    np.testing.assert_allclose(w2, [1.0, 1.0, 2.0, 2.0])
-
-    empty = MemoryBuffer(BudgetPolicy(count=1))  # its te is (0, 0)
-    x3, y3, w3 = replay_batch(
-        cur_x, cur_y, empty.te, empty.label, replay_lambda=0.5, class_balance=False
-    )
-    assert x3.shape == (2, 3) and w3.tolist() == [1.0, 1.0]
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_replay_batch_rejects_non_finite_lambda(value):
-    cur_x, cur_y = np.zeros((2, 3)), np.array([0, 1])
-    with pytest.raises(ValueError, match="^replay_lambda must be finite"):
-        replay_batch(cur_x, cur_y, np.ones((1, 3)), np.array([1]), replay_lambda=value)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,26 @@ def test_strategy_rejects_non_finite_weight_scale(value):
         PropagationStrategy("reservoir", 2, hidden_dim=8, weight_scale=value)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("hops", dict(variant="power", hops=2.5)),
+        ("hidden_dim", dict(variant="reservoir", hops=2, hidden_dim=4.5)),
+        ("seed", dict(variant="reservoir", hops=2, hidden_dim=4, seed=1.5)),
+    ],
+)
+def test_strategy_refuses_non_integer_fields(field, kwargs):
+    # caught here, not later as a TypeError inside the run
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        PropagationStrategy(**kwargs)
+
+
+def test_strategy_takes_numpy_integers_as_ints():
+    s = PropagationStrategy("reservoir", np.int64(2), hidden_dim=np.int32(4), seed=np.int64(1))
+    assert s == PropagationStrategy("reservoir", 2, hidden_dim=4, seed=1)
+    assert {type(s.hops), type(s.hidden_dim), type(s.seed)} == {int}
+
+
 def test_strategy_default_self_loops():
     assert PropagationStrategy("power", 2).default_self_loops is True
     assert PropagationStrategy("hop_average", 2, alpha=0.1).default_self_loops is False
