@@ -20,8 +20,10 @@ spread over threads.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
+import hashlib
 import logging
 import operator
 import os
@@ -31,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib import format as npformat
 
 from .rng import component_rng
 
@@ -503,16 +506,43 @@ def generate_sbm(
 # features: one whitespace-separated float row per node
 # labels:   one integer per line
 # split:    one token per line from {train, valid, test}
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment, also after a value; blank lines are ignored.
+#
+# `load_graph_files` parses each file once: the parsed array is kept in
+# `.temcgl-cache/<file name>.npy` beside the file, keyed by the SHA-256 of
+# the file's bytes and PARSE_VERSION, and a later load of the same bytes
+# reads it back. The first load pays for writing it. Entries hold 8 bytes a
+# feature value or label, 16 an edge and 1 a split row: about 0.4 x the size
+# of a full-precision features text, plus the edges. One entry per file is
+# kept, replaced when the file changes. Deleting the directory clears it.
+
+CACHE_DIR = ".temcgl-cache"
+# Part of every cache key: change it whenever a parser's output changes.
+PARSE_VERSION = b"temcgl-text-1"
+
+
+def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
+    try:
+        return np.loadtxt(path, dtype=dtype, comments="#", ndmin=ndmin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_edge_list(path) -> np.ndarray:
-    data = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+    data = _loadtxt(path, np.int64, 2)
     if data.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns, got {data.shape[1]}")
     return data
+
+
+def _load_features(path) -> np.ndarray:
+    return _loadtxt(path, np.float64, 2)
+
+
+def _load_labels(path) -> np.ndarray:
+    return _loadtxt(path, np.int64, 1)
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -524,8 +554,8 @@ def save_edge_list(g: Graph, path) -> None:
 def load_split_file(path) -> np.ndarray:
     codes = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        token = line.strip()
-        if not token or token.startswith("#"):
+        token = line.split("#", 1)[0].strip()
+        if not token:
             continue
         if token not in SPLIT_CODES:
             raise ValueError(f"{path}:{lineno}: unknown split token {token!r}")
@@ -537,12 +567,63 @@ def save_split_file(split: np.ndarray, path) -> None:
     Path(path).write_text("".join(SPLIT_TOKENS[int(c)] + "\n" for c in split))
 
 
+def _file_version(path: Path) -> tuple[int, int, int]:
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cached_parse(path, parse, dtype, ndim: int) -> np.ndarray:
+    """`parse(path)`, or the array an earlier parse of the same bytes cached.
+
+    A cached array must have `dtype` and `ndim`, which also tells apart the
+    four parsers; anything else, or an unreadable entry, is parsed again. A
+    cache entry that cannot be written only costs the next load a parse.
+    """
+    path = Path(path)
+    before = _file_version(path)
+    digest = hashlib.sha256(PARSE_VERSION)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    key = np.frombuffer(digest.digest(), dtype=np.uint8)
+    entry = path.parent / CACHE_DIR / (path.name + ".npy")
+    try:
+        with open(entry, "rb") as fh:
+            if np.array_equal(npformat.read_array(fh, allow_pickle=False), key):
+                data = npformat.read_array(fh, allow_pickle=False)
+                if data.dtype == dtype and data.ndim == ndim:
+                    return data
+    except (OSError, ValueError):
+        pass
+    data = parse(path)
+    if _file_version(path) != before:  # edited since hashed: the key may not match
+        return data
+    # a name of its own per writer, so concurrent loads never share a file
+    tmp = entry.parent / f"{entry.name}.{os.urandom(8).hex()}.tmp"
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with open(tmp, "xb") as fh:
+            npformat.write_array(fh, key)
+            npformat.write_array(fh, data, allow_pickle=False)
+            fh.flush()
+            os.fsync(fh.fileno())  # so a crash cannot leave a renamed, half-written entry
+        os.replace(tmp, entry)
+    except OSError as exc:
+        logger.debug("%s: parse cache not written: %s", path, exc)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+    return data
+
+
 def load_graph_files(edges_path, features_path, labels_path, split_path) -> Graph:
-    """Assemble a graph from the four text files, cross-checking lengths."""
-    features = np.loadtxt(features_path, dtype=np.float64, comments="#", ndmin=2)
-    labels = np.loadtxt(labels_path, dtype=np.int64, comments="#", ndmin=1)
-    split = load_split_file(split_path)
-    edges = load_edge_list(edges_path)
+    """Assemble a graph from the four text files, cross-checking lengths.
+
+    Each file is parsed through the cache described above the text parsers.
+    """
+    features = _cached_parse(features_path, _load_features, np.float64, 2)
+    labels = _cached_parse(labels_path, _load_labels, np.int64, 1)
+    split = _cached_parse(split_path, load_split_file, np.int8, 1)
+    edges = _cached_parse(edges_path, load_edge_list, np.int64, 2)
     n = features.shape[0]
     if labels.shape[0] != n:
         raise ValueError(f"{labels_path}: {labels.shape[0]} labels for {n} feature rows")

@@ -8,13 +8,15 @@ exception: it strings the package's own steps together in a single thread.
 """
 from __future__ import annotations
 
+import collections
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from temcgl import harness
+from temcgl import graph, harness
 from temcgl.buffer import MemoryBuffer
 from temcgl.coverage import coverage_ratio
 from temcgl.graph import Graph, induced_subgraph, normalize_adjacency
@@ -206,6 +208,23 @@ def central_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-5) -> li
             gflat[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# text parsing
+# ---------------------------------------------------------------------------
+
+
+def count_parses(monkeypatch) -> collections.Counter:
+    """Count each call of `load_graph_files`'s four text parsers by file name."""
+    counts = collections.Counter()
+    for name in ("load_edge_list", "_load_features", "_load_labels", "load_split_file"):
+        def counted(path, parse=getattr(graph, name)):
+            counts[Path(path).name] += 1
+            return parse(path)
+
+        monkeypatch.setattr(graph, name, counted)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from temcgl.config import (
     serialize_config,
     write_manifest,
 )
-from temcgl.graph import generate_sbm, load_graph_files, normalize_adjacency
+from temcgl.graph import generate_sbm, load_graph_files, normalize_adjacency, save_graph_files
 from temcgl.harness import RunConfig
 from temcgl.model import pseudo_gradient_check
 from temcgl.propagation import compute_tes
+
+from helpers import count_parses
 
 RUN_INI = """
 [dataset]
@@ -205,8 +207,6 @@ def test_study_seeds_must_be_distinct():
 
 def test_files_dataset_round_trips_through_disk(tmp_path):
     g = generate_sbm((15, 15), p_in=0.3, p_out=0.05, feature_dim=3, feature_shift=1.0, seed=7)
-    from temcgl.graph import save_graph_files
-
     paths = save_graph_files(g, tmp_path)
     text = f"""
 [dataset]
@@ -381,6 +381,27 @@ def test_cli_sample_study(tmp_path):
     assert main(["sample-study", "--config", str(cfg_path), "--out", str(out2), "--jobs", "2"]) == 0
     for name in ("study.csv", "study_runs.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_sample_study_parses_each_file_once(tmp_path, monkeypatch):
+    g = generate_sbm((12,) * 4, p_in=0.3, p_out=0.02, feature_dim=4, feature_shift=3.0, seed=1)
+    paths = save_graph_files(g, tmp_path / "data")
+    dataset = "".join(f"{kind} = {path}\n" for kind, path in paths.items())
+    _, sections = RUN_INI.split("[propagation]")
+    cfg_path = _write(tmp_path, f"""
+[dataset]
+kind = files
+{dataset}
+[propagation]{sections}
+[study]
+samplers = uniform
+budget_fractions = 0.2
+seeds = 0, 1, 2
+""")
+    parses = count_parses(monkeypatch)
+    assert main(["sample-study", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+    assert len((tmp_path / "s" / "study_runs.csv").read_text().splitlines()) == 2 + 3
+    assert parses == {"edges.txt": 1, "features.txt": 1, "labels.txt": 1, "split.txt": 1}
 
 
 def test_cli_sample_study_refuses_a_repeated_sampler(tmp_path, monkeypatch, capsys):

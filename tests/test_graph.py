@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import shutil
 import sys
 
 import numpy as np
@@ -18,7 +20,6 @@ from temcgl.graph import (
     generate_sbm,
     homophily_ratio,
     induced_subgraph,
-    load_edge_list,
     load_graph_files,
     normalize_adjacency,
     save_graph_files,
@@ -26,6 +27,7 @@ from temcgl.graph import (
 from temcgl.rng import component_rng
 
 from helpers import (
+    count_parses,
     dense_adjacency,
     dense_csr,
     dense_normalized,
@@ -608,6 +610,19 @@ def test_sbm_extreme_probabilities_and_one_node():
 # ---------------------------------------------------------------------------
 
 
+def _load(paths) -> Graph:
+    return load_graph_files(paths["edges"], paths["features"], paths["labels"], paths["split"])
+
+
+def _assert_same_graph(a: Graph, b: Graph) -> None:
+    assert a.num_nodes == b.num_nodes
+    np.testing.assert_array_equal(a.features.view(np.int64), b.features.view(np.int64))
+    for name in ("indptr", "indices", "labels", "split"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
 def test_graph_files_round_trip(tmp_path):
     g = generate_sbm((12, 9), p_in=0.5, p_out=0.1, feature_dim=3, feature_shift=1.5, seed=5)
     paths = save_graph_files(g, tmp_path)
@@ -619,11 +634,22 @@ def test_graph_files_round_trip(tmp_path):
     np.testing.assert_array_equal(back.split, g.split)
 
 
-def test_edge_list_accepts_comments_and_blank_lines(tmp_path):
-    p = tmp_path / "edges.txt"
-    p.write_text("# a comment\n0 1\n\n2 1\n")
-    edges = load_edge_list(p)
-    assert edges.tolist() == [[0, 1], [2, 1]]
+def _annotated(text: str) -> str:
+    """`text` with a comment line, blank lines and an inline comment on every value."""
+    lines = [f"{line}  # row {i}" for i, line in enumerate(text.splitlines())]
+    return "# header\n\n" + "\n\n".join(lines) + "\n\n"
+
+
+def test_graph_files_accept_comments_and_blank_lines(tmp_path):
+    g = generate_sbm((8, 7), p_in=0.5, p_out=0.1, feature_dim=3, feature_shift=1.5, seed=2)
+    paths = save_graph_files(g, tmp_path / "plain")
+    noted = tmp_path / "noted"
+    noted.mkdir()
+    for kind, path in paths.items():
+        (noted / path.name).write_text(_annotated(path.read_text()))
+    plain = _load(paths)
+    back = _load({kind: noted / path.name for kind, path in paths.items()})
+    _assert_same_graph(back, plain)
 
 
 def test_loaders_reject_malformed_inputs(tmp_path):
@@ -652,3 +678,114 @@ def test_loaders_reject_malformed_inputs(tmp_path):
     edges.write_text("0 9\n")  # node id out of range
     with pytest.raises(ValueError):
         load_graph_files(edges, feats, labels, split)
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("edges", "0 1\n1 x\n", "could not convert"),
+    ("features", "0.5 1.0\n1.5 x\n", "could not convert"),
+    ("features", "0.5 1.0\n1.5\n", "number of columns changed"),
+    ("labels", "0\n1.5\n", "could not convert"),
+    ("split", "train\nnope\n", "unknown split token"),
+], ids=["edges", "features", "features-short-row", "labels", "split"])
+def test_parse_error_names_the_file_and_caches_nothing(tmp_path, kind, text, message):
+    g = generate_sbm((1, 1), p_in=1.0, p_out=1.0, feature_dim=2, feature_shift=1.0, seed=0)
+    paths = save_graph_files(g, tmp_path)
+    paths[kind].write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        _load(paths)
+    assert str(info.value).startswith(str(paths[kind]))
+    assert not (tmp_path / graph_module.CACHE_DIR / f"{kind}.txt.npy").exists()
+
+
+# ---------------------------------------------------------------------------
+# parse cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def graph_files(tmp_path):
+    g = generate_sbm((14, 11), p_in=0.4, p_out=0.05, feature_dim=4, feature_shift=1.0, seed=3)
+    return save_graph_files(g, tmp_path)
+
+
+def test_parse_cache_hit_is_bit_equal_and_parses_nothing(graph_files, monkeypatch):
+    parses = count_parses(monkeypatch)
+    parsed = _load(graph_files)
+    assert sorted(parses.values()) == [1, 1, 1, 1]
+    cache = graph_files["features"].parent / graph_module.CACHE_DIR
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "edges.txt.npy", "features.txt.npy", "labels.txt.npy", "split.txt.npy",
+    ]
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed a file the cache holds")
+
+    monkeypatch.setattr(np, "loadtxt", no_parse)
+    _assert_same_graph(_load(graph_files), parsed)
+    assert sorted(parses.values()) == [1, 1, 1, 1]
+
+
+def test_parse_cache_parses_an_edited_file_again(graph_files, monkeypatch):
+    parses = count_parses(monkeypatch)
+    first = _load(graph_files)
+    labels = first.labels.copy()
+    labels[0] = 1 - labels[0]
+    np.savetxt(graph_files["labels"], labels, fmt="%d")
+    np.testing.assert_array_equal(_load(graph_files).labels, labels)
+    assert parses == {"labels.txt": 2, "features.txt": 1, "split.txt": 1, "edges.txt": 1}
+    np.testing.assert_array_equal(_load(graph_files).labels, labels)
+    assert parses["labels.txt"] == 2
+
+
+def test_parse_cache_rewrites_a_truncated_entry(graph_files, monkeypatch):
+    parses = count_parses(monkeypatch)
+    parsed = _load(graph_files)
+    entry = graph_files["features"].parent / graph_module.CACHE_DIR / "features.txt.npy"
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2])
+    _assert_same_graph(_load(graph_files), parsed)
+    assert parses["features.txt"] == 2
+    assert entry.read_bytes() == whole
+
+
+def test_parse_cache_write_failure_still_loads(graph_files, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    parsed = _load(graph_files)
+    cache = graph_files["features"].parent / graph_module.CACHE_DIR
+    shutil.rmtree(cache)
+    monkeypatch.setattr(os, "replace", refuse)
+    _assert_same_graph(_load(graph_files), parsed)
+    assert list(cache.iterdir()) == []
+
+
+def test_parse_cache_skips_a_file_edited_while_parsed(graph_files, monkeypatch):
+    parse = graph_module._load_labels
+
+    def parse_then_edit(path):
+        labels = parse(path)
+        with open(path, "a") as fh:
+            fh.write("# edited\n")
+        return labels
+
+    monkeypatch.setattr(graph_module, "_load_labels", parse_then_edit)
+    _load(graph_files)
+    cache = graph_files["labels"].parent / graph_module.CACHE_DIR
+    assert not (cache / "labels.txt.npy").exists()
+    assert (cache / "features.txt.npy").exists()
+
+
+def test_parse_cache_tells_the_parsers_apart(tmp_path, monkeypatch):
+    # One file read as one-column features and as labels: the same key, two
+    # arrays, told apart by dtype and number of dimensions.
+    g = generate_sbm((5, 4), p_in=0.5, p_out=0.1, feature_dim=1, feature_shift=1.0, seed=4)
+    paths = save_graph_files(g, tmp_path)
+    paths["features"] = paths["labels"]
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        back = _load(paths)
+        assert back.features.dtype == np.float64 and back.features.shape == (9, 1)
+        np.testing.assert_array_equal(back.features[:, 0], g.labels)
+        np.testing.assert_array_equal(back.labels, g.labels)
+    assert parses["labels.txt"] == 4
