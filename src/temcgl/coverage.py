@@ -1,21 +1,21 @@
-"""Receptive-field coverage accounting and the coverage-greedy sampler.
+"""Receptive-field coverage accounting and the coverage-weighted sampler.
 
 The coverage of a node set is the fraction of a universe of nodes that
 falls inside at least one member's L-hop receptive field. Since balls
-overlap, coverage of a set is a union, not a sum — the whole point of
-sampling for coverage is to avoid paying twice for the same region.
+overlap, coverage of a set is a union, not a sum.
 
-Singleton coverages come from sparse reachability: row i of
-E_C (A+I)^L marks the ball around candidate i, and its entries inside the
-universe are counted. The sampler draws candidates sequentially without
-replacement, each draw weighted by the candidate's singleton coverage.
+Balls come from `graph._reach`: row i of a block of candidates marks the
+ball around candidate i, and its entries inside the universe are counted.
+`coverage_max_sample` draws candidates sequentially without replacement,
+each draw in proportion to the candidate's singleton coverage. It ignores
+overlap: drawing a candidate does not lower the weight of another whose
+ball it already covers, so the draw does not maximise the union.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import Graph, _with_self_loops, bfs_ball
+from .graph import Graph, _reach
 
 # Candidates whose balls are expanded together in one sparse product; bounds
 # the fill-in of the reachability block on dense graphs or large radii.
@@ -46,7 +46,7 @@ def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray 
         return 0.0
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ValueError("node id out of range")
-    ball = bfs_ball(g.indptr, g.indices, nodes, hops)
+    ball = _reach(g.indptr, g.indices, nodes.ravel(), np.array([0, nodes.size]), hops).indices
     return float(mask[ball].sum() / total)
 
 
@@ -61,24 +61,13 @@ def singleton_coverage_table(
     candidates = np.asarray(candidates, dtype=np.int64)
     if len(candidates) and (candidates.min() < 0 or candidates.max() >= g.num_nodes):
         raise ValueError("candidate node id out of range")
-    indptr, indices = _with_self_loops(g.indptr, g.indices)
-    # boolean products add by `or`, so every stored entry of a product is True
-    step = sp.csr_array(
-        (np.ones(len(indices), dtype=bool), indices, indptr), shape=(g.num_nodes, g.num_nodes)
-    )
     in_universe = mask.astype(np.float64)
     table = np.empty(len(candidates))
     for start in range(0, len(candidates), COVERAGE_BLOCK_ROWS):
         block = candidates[start : start + COVERAGE_BLOCK_ROWS]
-        k = len(block)
-        # row i of `reach` is the indicator of the ball around block[i]
-        reach = sp.csr_array(
-            (np.ones(k, dtype=bool), block, np.arange(k + 1)), shape=(k, g.num_nodes)
-        )
-        for _ in range(hops):
-            reach = reach @ step
+        reach = _reach(g.indptr, g.indices, block, np.arange(len(block) + 1), hops)
         # sums of 1.0 are exact integers, so this divides the same counts
-        table[start : start + k] = (reach @ in_universe) / total
+        table[start : start + len(block)] = (reach @ in_universe) / total
     return table
 
 

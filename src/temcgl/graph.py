@@ -12,9 +12,11 @@ object because two different restrictions matter later on:
   verbatim — this is what makes a node's receptive field self-contained.
 
 Both restrictions slice the parent CSR arrays with one keep-mask over its
-entries, and construction, validation, normalisation and BFS work on whole
+entries, and construction, validation and normalisation work on whole
 int64 arrays (sorted ``row * n + col`` keys, masks, bincounts); no step
-loops over nodes in Python, and scipy only multiplies. The SBM generator
+loops over nodes in Python. scipy multiplies: the propagation products,
+and the boolean sparse products of ``_reach``, from which every L-hop
+ball (receptive field, coverage) is read. The SBM generator
 still draws one uniform per node pair, O(n^2) time, but in bounded bands
 spread over threads.
 """
@@ -314,25 +316,22 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
 # ---------------------------------------------------------------------------
 
 
-def bfs_ball(indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray, hops: int) -> np.ndarray:
-    """Sorted ids of every node within `hops` steps of any seed."""
-    n = len(indptr) - 1
-    reached = np.zeros(n, dtype=bool)
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
-    reached[seeds] = True
-    frontier = np.unique(seeds)
+def _reach(
+    indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray, starts: np.ndarray, hops: int
+) -> sp.csr_array:
+    """Boolean CSR rows: row r marks, once each, every node within `hops`
+    steps of ``seeds[starts[r]:starts[r + 1]]``.
+
+    Each hop ors ``R @ A`` into ``R`` over A's stored pattern, so a stored
+    diagonal (a self-looped operator's) changes nothing.
+    """
+    n, rows = len(indptr) - 1, len(starts) - 1
+    step = sp.csr_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
+    reach = sp.csr_array((np.ones(len(seeds), dtype=bool), seeds, starts), shape=(rows, n))
+    reach.sum_duplicates()  # repeated seeds merge; boolean sums and products add by `or`
     for _ in range(hops):
-        if frontier.size == 0:
-            break
-        starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        # one gather of every frontier row, concatenated in frontier order
-        offsets = np.cumsum(lens) - lens
-        cols = indices[np.arange(lens.sum()) + np.repeat(starts - offsets, lens)]
-        fresh = np.unique(cols[~reached[cols]])
-        reached[fresh] = True
-        frontier = fresh
-    return np.flatnonzero(reached)
+        reach = reach + reach @ step
+    return reach
 
 
 def homophily_ratio(g: Graph) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NormalizedAdjacency, _int_fields, bfs_ball
+from .graph import Graph, NormalizedAdjacency, _int_fields, _reach
 from .rng import component_rng
 
 LINEAR_VARIANTS = ("power", "hop_average", "lazy_power")
@@ -233,7 +233,8 @@ def receptive_field(g: Graph | NormalizedAdjacency, v: int, hops: int) -> np.nda
         raise ValueError(f"node {v} out of range")
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    return bfs_ball(g.indptr, g.indices, np.array([v]), hops)
+    reach = _reach(g.indptr, g.indices, np.array([v]), np.array([0, 1]), hops)
+    return np.sort(reach.indices).astype(np.int64)
 
 
 def subnetwork_te(adj: NormalizedAdjacency, features: np.ndarray, strategy: PropagationStrategy, v: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from temcgl.cli import main
 from temcgl.coverage import coverage_max_sample
 from temcgl.graph import (
     TRAIN,
-    bfs_ball,
+    _reach,
     build_graph,
     generate_sbm,
     homophily_ratio,
@@ -403,7 +403,8 @@ def test_09_rehearsal_lifts_covered_class_probability():
             g, candidates, hops=2, budget=3,
             rng=component_rng(seed, "acceptance-rehearsal"), universe=candidates,
         )
-        ball = bfs_ball(g.indptr, g.indices, selected, 2)
+        reach = _reach(g.indptr, g.indices, selected, np.array([0, len(selected)]), 2)
+        ball = np.sort(reach.indices)
         covered = np.setdiff1d(ball[g.labels[ball] == k], selected)
         assert covered.size > 0
 

@@ -27,6 +27,7 @@ from temcgl.graph import (
 from temcgl.rng import component_rng
 
 from helpers import (
+    ball_oracle,
     count_parses,
     dense_adjacency,
     dense_csr,
@@ -404,6 +405,38 @@ def test_restrict_requires_sorted_unique_ids():
         adj.restrict(np.array([2, 1]))
     with pytest.raises(ValueError):
         adj.restrict(np.array([1, 1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# L-hop reachability
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    pattern=_PATTERNS,
+    hops=st.integers(0, 3),
+    looped=st.booleans(),
+    rows=st.lists(st.lists(st.integers(0, 10**6), max_size=6), min_size=1, max_size=5),
+)
+@example(pattern=(1, 0.0, 0), hops=0, looped=False, rows=[[]])
+@example(pattern=(5, 0.6, 1), hops=2, looped=True, rows=[[3, 3, 0], [], [1, 4, 1]])
+def test_reach_rows_match_set_bfs(pattern, hops, looped, rows):
+    # rows of several seeds, repeated seeds or none, over the pattern of a
+    # graph or of its self-looped operator, whose stored diagonal adds nothing
+    n, p, seed = pattern
+    edges = random_edges(n, p, np.random.default_rng(seed))
+    g = build_graph(n, edges)
+    csr = normalize_adjacency(g, True) if looped else g
+    rows = [[s % n for s in row] for row in rows]
+    seeds = np.array([s for row in rows for s in row], dtype=np.int64)
+    starts = np.cumsum([0] + [len(row) for row in rows])
+    reach = graph_module._reach(csr.indptr, csr.indices, seeds, starts, hops)
+    assert reach.shape == (len(rows), n) and reach.dtype == bool and reach.data.all()
+    for r, row in enumerate(rows):
+        got = reach.indices[reach.indptr[r] : reach.indptr[r + 1]].tolist()
+        assert len(got) == len(set(got))  # each node once
+        assert set(got) == ball_oracle(n, edges, row, hops)
 
 
 # ---------------------------------------------------------------------------
