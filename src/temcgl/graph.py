@@ -524,7 +524,9 @@ def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
     try:
         return np.loadtxt(path, dtype=dtype, comments="#", ndmin=ndmin)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        # numpy's hint to pass `usecols` names an option no config key reaches
+        message = str(exc).split("; use `usecols`", 1)[0]
+        raise ValueError(f"{path}: {message}") from exc
 
 
 def load_edge_list(path) -> np.ndarray:

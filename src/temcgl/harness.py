@@ -4,8 +4,13 @@ A run walks an expanding network task by task. Each task reveals the nodes
 of a few new classes, recomputes topology-aware embeddings on the currently
 visible subgraph, trains the shared head (optionally rehearsing buffered
 embeddings), and then scores every task seen so far. Because embeddings are
-produced by a parameter-free operator, rows stored in the buffer stay valid
-across tasks and replay needs no stored neighbourhoods. The head's batch
+produced by a parameter-free operator, replay needs no stored
+neighbourhoods, but a stored row is frozen at its commit. Under
+``keep_seen`` later tasks change its node's ball and degrees, so the row
+drifts from the node's current embedding (a mean relative L2 distance of
+0.39-0.46 by the last task on an SBM run), while test rows are regathered
+every task. Under ``drop_all`` an earlier task's stored rows and test rows
+both stay as that task computed them. The head's batch
 (rows, labels and weights) is built here; its training loop and masked
 accuracy live in `model`, and the latter is re-exported here. A study
 runs one base config at every point of a grid of `RunConfig` overrides and

@@ -727,6 +727,7 @@ def test_parse_error_names_the_file_and_caches_nothing(tmp_path, kind, text, mes
     with pytest.raises(ValueError, match=message) as info:
         _load(paths)
     assert str(info.value).startswith(str(paths[kind]))
+    assert "usecols" not in str(info.value)
     assert not (tmp_path / graph_module.CACHE_DIR / f"{kind}.txt.npy").exists()
 
 
