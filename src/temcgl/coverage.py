@@ -46,7 +46,7 @@ def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray 
         return 0.0
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ValueError("node id out of range")
-    ball = _reach(g.indptr, g.indices, nodes.ravel(), np.array([0, nodes.size]), hops).indices
+    ball = _reach(g, nodes.ravel(), [0, nodes.size], hops).indices
     return float(mask[ball].sum() / total)
 
 
@@ -65,7 +65,7 @@ def singleton_coverage_table(
     table = np.empty(len(candidates))
     for start in range(0, len(candidates), COVERAGE_BLOCK_ROWS):
         block = candidates[start : start + COVERAGE_BLOCK_ROWS]
-        reach = _reach(g.indptr, g.indices, block, np.arange(len(block) + 1), hops)
+        reach = _reach(g, block, np.arange(len(block) + 1), hops)
         # sums of 1.0 are exact integers, so this divides the same counts
         table[start : start + len(block)] = (reach @ in_universe) / total
     return table

@@ -16,9 +16,11 @@ entries, and construction, validation and normalisation work on whole
 int64 arrays (sorted ``row * n + col`` keys, masks, bincounts); no step
 loops over nodes in Python. scipy multiplies: the propagation products,
 and the boolean sparse products of ``_reach``, from which every L-hop
-ball (receptive field, coverage) is read. The SBM generator
-still draws one uniform per node pair, O(n^2) time, but in bounded bands
-spread over threads.
+ball (receptive field, coverage) is read. Each hop multiplies by the
+graph's boolean A + I, built on first use and kept on the object; it is
+also the self-looped pattern that normalisation starts from. The SBM
+generator still draws one uniform per node pair, O(n^2) time, but in
+bounded bands spread over threads.
 """
 from __future__ import annotations
 
@@ -44,6 +46,17 @@ logger = logging.getLogger(__name__)
 TRAIN, VALID, TEST = 0, 1, 2
 SPLIT_TOKENS = {TRAIN: "train", VALID: "valid", TEST: "test"}
 SPLIT_CODES = {v: k for k, v in SPLIT_TOKENS.items()}
+
+
+def _hop_pattern(g: "Graph | NormalizedAdjacency") -> sp.csr_array:
+    """Boolean A + I over `g`'s stored structure: one hop of `_reach`.
+
+    ``+`` is ``or``, so a stored diagonal changes nothing. From sorted rows
+    (a `Graph`'s) the rows come out sorted with the diagonal in place, which
+    is the pattern `normalize_adjacency` uses for self loops.
+    """
+    stored = sp.csr_array((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr), shape=(g.num_nodes,) * 2)
+    return stored + sp.eye_array(g.num_nodes, dtype=bool, format="csr")
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,8 @@ class Graph:
 
     def split_nodes(self, code: int) -> np.ndarray:
         return np.flatnonzero(self.split == code)
+
+    _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
 
 
 def build_graph(
@@ -203,24 +218,6 @@ def _slice_csr(
     return sliced, sliced_indices, keep
 
 
-def _with_self_loops(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 CSR pattern of A + I, from that of A (sorted rows, no diagonal).
-
-    Each row's diagonal entry goes after the row's columns below it, so the
-    rows stay sorted, as scipy's ``A + I`` after ``sort_indices()``.
-    """
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    diag = indptr[:-1] + np.arange(n) + np.bincount(rows[indices < rows], minlength=n)
-    del rows
-    loops = np.empty(len(indices) + n, dtype=np.int64)
-    off_diagonal = np.ones(len(loops), dtype=bool)
-    off_diagonal[diag] = False
-    loops[off_diagonal] = indices
-    loops[diag] = np.arange(n)
-    return indptr + np.arange(n + 1), loops
-
-
 # ---------------------------------------------------------------------------
 # normalised operator
 # ---------------------------------------------------------------------------
@@ -241,6 +238,8 @@ class NormalizedAdjacency:
     values: np.ndarray
     degrees: np.ndarray
     self_loops: bool
+
+    _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
 
     @functools.cached_property
     def _csr(self) -> sp.csr_array:
@@ -298,9 +297,10 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
     """Symmetrically normalised operator of `g`, optionally with self loops."""
     n = g.num_nodes
     if self_loops:
-        indptr, cols = _with_self_loops(g.indptr, g.indices)
+        indptr, cols = g._hop.indptr, g._hop.indices  # sorted rows, diagonal in place
     else:
-        indptr, cols = g.indptr.astype(np.int64, copy=False), g.indices.astype(np.int64, copy=False)
+        indptr, cols = g.indptr, g.indices
+    indptr, cols = indptr.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
     counts = np.diff(indptr)
     deg = counts.astype(np.float64)
     inv_sqrt = np.zeros(n)
@@ -316,21 +316,18 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
 # ---------------------------------------------------------------------------
 
 
-def _reach(
-    indptr: np.ndarray, indices: np.ndarray, seeds: np.ndarray, starts: np.ndarray, hops: int
-) -> sp.csr_array:
+def _reach(g: "Graph | NormalizedAdjacency", seeds: np.ndarray, starts: np.ndarray, hops: int) -> sp.csr_array:
     """Boolean CSR rows: row r marks, once each, every node within `hops`
-    steps of ``seeds[starts[r]:starts[r + 1]]``.
+    steps of ``seeds[starts[r]:starts[r + 1]]`` in `g`'s stored structure.
 
-    Each hop ors ``R @ A`` into ``R`` over A's stored pattern, so a stored
-    diagonal (a self-looped operator's) changes nothing.
+    Each hop multiplies by `g._hop`, built once per graph. `seeds` and `starts`
+    are copied: the matrix would keep int64 arrays and sort them in place.
     """
-    n, rows = len(indptr) - 1, len(starts) - 1
-    step = sp.csr_array((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
-    reach = sp.csr_array((np.ones(len(seeds), dtype=bool), seeds, starts), shape=(rows, n))
+    seeds, starts = np.array(seeds, dtype=np.int64), np.array(starts, dtype=np.int64)
+    reach = sp.csr_array((np.ones(len(seeds), dtype=bool), seeds, starts), shape=(len(starts) - 1, g.num_nodes))
     reach.sum_duplicates()  # repeated seeds merge; boolean sums and products add by `or`
     for _ in range(hops):
-        reach = reach + reach @ step
+        reach = reach @ g._hop
     return reach
 
 

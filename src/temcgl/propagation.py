@@ -233,7 +233,7 @@ def receptive_field(g: Graph | NormalizedAdjacency, v: int, hops: int) -> np.nda
         raise ValueError(f"node {v} out of range")
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    reach = _reach(g.indptr, g.indices, np.array([v]), np.array([0, 1]), hops)
+    reach = _reach(g, [v], [0, 1], hops)
     return np.sort(reach.indices).astype(np.int64)
 
 

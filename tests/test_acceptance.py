@@ -403,7 +403,7 @@ def test_09_rehearsal_lifts_covered_class_probability():
             g, candidates, hops=2, budget=3,
             rng=component_rng(seed, "acceptance-rehearsal"), universe=candidates,
         )
-        reach = _reach(g.indptr, g.indices, selected, np.array([0, len(selected)]), 2)
+        reach = _reach(g, selected, [0, len(selected)], 2)
         ball = np.sort(reach.indices)
         covered = np.setdiff1d(ball[g.labels[ball] == k], selected)
         assert covered.size > 0

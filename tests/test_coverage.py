@@ -96,7 +96,9 @@ def test_coverage_ratio_matches_set_bfs(seed: int, hops: int, with_universe: boo
     if with_universe:
         universe = rng.choice(n + pad, size=int(rng.integers(1, n + pad + 1)), replace=False)
         members = {int(u) for u in universe}
+    given = nodes.copy()
     got = coverage_ratio(g, nodes, hops=hops, universe=universe)
+    np.testing.assert_array_equal(nodes, given)  # repeated seeds are merged in a copy
     assert got == len(ball_oracle(n + pad, edges, nodes, hops) & members) / len(members)
 
 

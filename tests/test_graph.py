@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import sys
@@ -225,10 +226,14 @@ def test_symmetry_check_matches_scipy_transpose(pattern, fault):
 def test_self_loops_match_scipy_sum(pattern):
     a, _ = _random_adjacency(pattern)
     indptr, indices = dense_csr(a)
-    want = oracle_with_self_loops(len(a), indptr, indices)
+    n = len(a)
+    want = oracle_with_self_loops(n, indptr, indices)
+    zeros = np.zeros(n, dtype=np.int64)
     for ids in (indices, indices.astype(np.int32)):
-        got = graph_module._with_self_loops(indptr, ids)
-        for x, y in zip(got, want):
+        g = Graph(n, indptr, ids, np.zeros((n, 1)), zeros, zeros.astype(np.int8))
+        adj = normalize_adjacency(g, self_loops=True)
+        assert g._hop.data.all()  # the boolean A + I that `_reach` also steps over
+        for x, y in zip((adj.indptr, adj.indices), want):
             assert x.dtype == np.int64
             np.testing.assert_array_equal(x, y)
 
@@ -277,8 +282,10 @@ def test_build_graph_peak_stays_near_its_graph(sbm_4k):
 
 def test_normalize_adjacency_peak_stays_near_its_result(sbm_4k):
     g, entry_bytes = sbm_4k
+    g = dataclasses.replace(g)  # a new object, so its cached boolean A + I is built in the traced call
     adj, peak = traced_peak(lambda: normalize_adjacency(g, self_loops=True))
-    # one gathered factor beside the result, no row array and no scipy A + I
+    # one gathered factor beside the result, and no row array; the boolean
+    # A + I kept on `g` shares its index arrays with the result
     assert peak - _nbytes(adj.indptr, adj.indices, adj.values, adj.degrees) < 2 * entry_bytes
 
 
@@ -427,11 +434,14 @@ def test_reach_rows_match_set_bfs(pattern, hops, looped, rows):
     n, p, seed = pattern
     edges = random_edges(n, p, np.random.default_rng(seed))
     g = build_graph(n, edges)
-    csr = normalize_adjacency(g, True) if looped else g
+    structure = normalize_adjacency(g, True) if looped else g
     rows = [[s % n for s in row] for row in rows]
     seeds = np.array([s for row in rows for s in row], dtype=np.int64)
     starts = np.cumsum([0] + [len(row) for row in rows])
-    reach = graph_module._reach(csr.indptr, csr.indices, seeds, starts, hops)
+    given = seeds.copy(), starts.copy()
+    reach = graph_module._reach(structure, seeds, starts, hops)
+    np.testing.assert_array_equal(seeds, given[0])  # the caller's arrays are left as they were
+    np.testing.assert_array_equal(starts, given[1])
     assert reach.shape == (len(rows), n) and reach.dtype == bool and reach.data.all()
     for r, row in enumerate(rows):
         got = reach.indices[reach.indptr[r] : reach.indptr[r + 1]].tolist()
