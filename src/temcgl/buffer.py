@@ -9,7 +9,8 @@ therefore scales with (entries x embedding dim) and is completely
 independent of node degrees. Buffer files are written and read a chunk of
 records at a time.
 
-Four selection policies fill it:
+The buffer only stores what a task commits; `select_entries` picks which of
+the task's candidates those are, by one of four policies:
 
 * ``uniform``          — simple random sample of the task's candidates
 * ``centroid``         — per class, the candidates nearest the class-mean
@@ -70,7 +71,7 @@ class BudgetPolicy:
 
 
 # ---------------------------------------------------------------------------
-# samplers that don't need coverage machinery
+# samplers
 # ---------------------------------------------------------------------------
 
 
@@ -119,6 +120,34 @@ def _reservoir_pass(candidates: np.ndarray, n: int, rng: np.random.Generator) ->
     return slots
 
 
+def select_entries(
+    sampler_id: str, g: Graph, tes: TEMatrix, candidates: np.ndarray, n: int,
+    rng: np.random.Generator, hops: int,
+) -> np.ndarray:
+    """`n` of `candidates` (node ids of `g`, rows of `tes`), picked by
+    `sampler_id`; `hops` is the ball radius of ``coverage_max``."""
+    if sampler_id not in SAMPLER_IDS:
+        raise ValueError(f"unknown sampler {sampler_id!r}; pick one of {SAMPLER_IDS}")
+    if tes.num_nodes != g.num_nodes:
+        raise ValueError(f"{tes.num_nodes} embedding rows for a graph of {g.num_nodes} nodes")
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if len(np.unique(candidates)) != len(candidates):
+        raise ValueError("candidates must be unique")
+    if len(candidates) == 0:
+        raise ValueError("no candidates to sample from")
+    if candidates.min() < 0 or candidates.max() >= g.num_nodes:
+        raise ValueError("candidate id out of range")
+    if n > len(candidates):
+        raise ValueError(f"budget {n} exceeds {len(candidates)} candidates")
+    if sampler_id == "uniform":
+        return sample_uniform(candidates, n, rng)
+    if sampler_id == "centroid":
+        return sample_nearest_centroid(candidates, tes.values, g.labels, n)
+    if sampler_id == "coverage_max":
+        return coverage_max_sample(g, candidates, hops=hops, budget=n, rng=rng, universe=candidates)
+    return _reservoir_pass(candidates, n, rng)
+
+
 # ---------------------------------------------------------------------------
 # the buffer itself
 # ---------------------------------------------------------------------------
@@ -135,19 +164,7 @@ class MemoryBuffer:
     `_batch`); any other buffer grows it to exactly what each commit needs.
     """
 
-    def __init__(
-        self,
-        budget: BudgetPolicy | None,
-        sampler_id: str = "coverage_max",
-        coverage_hops: int = 2,
-    ):
-        if sampler_id not in SAMPLER_IDS:
-            raise ValueError(f"unknown sampler {sampler_id!r}; pick one of {SAMPLER_IDS}")
-        if coverage_hops < 0:
-            raise ValueError("coverage_hops must be >= 0")
-        self.budget = budget
-        self.sampler_id = sampler_id
-        self.coverage_hops = coverage_hops
+    def __init__(self) -> None:
         # `_lead` leading rows, then the committed rows; the rows of `_ids`
         # are label, task_id and node_id.
         self._rows = np.empty((0, 0))
@@ -210,57 +227,18 @@ class MemoryBuffer:
             start += len(block)
         return self._rows[self._lead - n : self._lead + replayed]
 
-    def update_tem(
-        self,
-        g: Graph,
-        tes: TEMatrix,
-        task_id: int,
-        candidates: np.ndarray,
-        rng: np.random.Generator,
-        node_ids: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Select this task's entries from `candidates` and commit them.
-
-        `candidates` (and the returned selection) index into `g` / `tes`;
-        `node_ids` optionally maps those local ids to provenance ids kept
-        on the entries. Every task may commit exactly once.
-        """
-        if self.budget is None:
-            raise ValueError("buffer has no budget policy")
+    def commit(self, task_id: int, te: np.ndarray, label, node_id) -> None:
+        """Store one task's entries: row i of `te` with `label[i]` and
+        `node_id[i]`. Every task commits exactly once; a refused commit
+        leaves the buffer as it was."""
+        if np.ndim(te) != 2 or not len(te) == len(label) == len(node_id):
+            raise ValueError("commit needs a 2-D te and one label and node id per row")
         if task_id in self._tasks_seen:
             raise ValueError(f"task {task_id} already committed to the buffer")
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if len(np.unique(candidates)) != len(candidates):
-            raise ValueError("candidates must be unique")
-        if len(candidates) == 0:
-            raise ValueError("no candidates to sample from")
-        if candidates.min() < 0 or candidates.max() >= tes.num_nodes:
-            raise ValueError("candidate id out of range")
-        if len(self) and self.te.shape[1] != tes.dim:
+        if len(self) and self.te.shape[1] != te.shape[1]:
             raise ValueError("buffer entries disagree on embedding dim")
-        n = self.budget.resolve(len(candidates))
-        if n > len(candidates):
-            raise ValueError(f"budget {n} exceeds {len(candidates)} candidates")
-
-        if self.sampler_id == "uniform":
-            selected = sample_uniform(candidates, n, rng)
-        elif self.sampler_id == "centroid":
-            selected = sample_nearest_centroid(candidates, tes.values, g.labels, n)
-        elif self.sampler_id == "coverage_max":
-            selected = coverage_max_sample(
-                g, candidates, hops=self.coverage_hops, budget=n, rng=rng, universe=candidates
-            )
-        else:  # reservoir_stream
-            selected = _reservoir_pass(candidates, n, rng)
-
-        self._append(
-            tes.values[selected],
-            g.labels[selected],
-            np.full(len(selected), task_id),
-            selected if node_ids is None else np.asarray(node_ids)[selected],
-        )
+        self._append(te, label, np.full(len(te), task_id), node_id)
         self._tasks_seen.add(int(task_id))
-        return selected
 
     def footprint_bytes(self) -> int:
         """Exact size of the serialised buffer, counted without serialising it."""
@@ -320,12 +298,11 @@ def save_buffer(buf: MemoryBuffer, path) -> None:
 def load_buffer(path) -> MemoryBuffer:
     """Rebuild a buffer from disk; bit-exact under re-serialisation.
 
-    The on-disk format carries entries only, so the rebuilt buffer has no
-    budget and cannot sample: it holds the stored rows for replay, export
-    or another save.
+    The on-disk format carries entries only: the rebuilt buffer holds the
+    stored rows for replay, export or another save.
     """
     head = struct.calcsize(_BUFFER_HEADER)
-    buf = MemoryBuffer(None, sampler_id="uniform")
+    buf = MemoryBuffer()
     with open(path, "rb") as file:
         header = file.read(head)
         if len(header) < head:
@@ -335,6 +312,8 @@ def load_buffer(path) -> MemoryBuffer:
             raise ValueError(f"{path}: not a buffer file (bad magic)")
         if version != BUFFER_FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        if count == 0 and dim != 0:  # an empty buffer is written with dim 0
+            raise ValueError(f"{path}: empty buffer file with embedding dim {dim}")
         # sized before the dtype is built: numpy refuses a corrupt, huge dim
         size = head + count * (_record_dtype(0).itemsize + 8 * dim)
         if os.fstat(file.fileno()).st_size != size:

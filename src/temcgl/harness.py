@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .buffer import SAMPLER_IDS, BudgetPolicy, MemoryBuffer
+from .buffer import SAMPLER_IDS, BudgetPolicy, MemoryBuffer, select_entries
 from .coverage import coverage_ratio
 from .graph import (
     TEST, TRAIN, VALID, Graph, _as_int, _int_fields, induced_subgraph, normalize_adjacency,
@@ -314,8 +314,10 @@ def _graph_step(
     if cfg.regime == "replay":
         local_train = np.searchsorted(visible, task.train_nodes)
         rng = component_rng(cfg.seed, f"sampler-task-{task.task_id}")
-        selected = buffer.update_tem(sub, tes, task.task_id, local_train, rng, node_ids=visible)
-        cov = coverage_ratio(sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train)
+        n, hops = cfg.budget.resolve(len(local_train)), cfg.resolved_coverage_hops()
+        selected = select_entries(cfg.sampler_id, sub, tes, local_train, n, rng, hops)
+        buffer.commit(task.task_id, tes.values[selected], sub.labels[selected], visible[selected])
+        cov = coverage_ratio(sub, selected, hops=hops, universe=local_train)
     return tests, fits, BufferStat(task.task_id, len(buffer), buffer.footprint_bytes(), cov)
 
 
@@ -390,16 +392,17 @@ def run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     te_dim = cfg.strategy.hidden_dim if cfg.strategy.variant == "reservoir" else g.feature_dim
     layer_dims = [te_dim, *cfg.hidden_dims, g.num_classes]
     params = init_mlp(layer_dims, component_rng(cfg.seed, "model-init"))
-    buffer = MemoryBuffer(
-        cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
-    )
-    # The store holds every row the run commits (a commit never exceeds its
-    # candidates), behind room for the largest block of train rows a batch
-    # stacks: one task's, or under "joint" every task's.
+    buffer = MemoryBuffer()
+    # The store holds every row the run commits, behind room for the
+    # largest block of train rows a batch stacks: one task's, or under
+    # "joint" every task's. A budget some task cannot meet fails before any step.
     joint = cfg.regime == "joint"
     blocks = [len(t.train_nodes) for t in tasks]
-    committed = sum(min(cfg.budget.resolve(b), b) for b in blocks) if cfg.regime == "replay" else 0
-    buffer._reserve(committed, sum(blocks) if joint else max(blocks), te_dim)
+    budgets = [cfg.budget.resolve(b) for b in blocks] if cfg.regime == "replay" else []
+    for task_id, (n, b) in enumerate(zip(budgets, blocks)):
+        if n > b:
+            raise ValueError(f"budget {n} exceeds the {b} training nodes of task {task_id}")
+    buffer._reserve(sum(budgets), sum(blocks) if joint else max(blocks), te_dim)
     run = RunResult(AccuracyMatrix.empty(len(tasks)), [], [], [], [], buffer, tasks)
 
     # Task id -> that task's test rows. Under "keep_seen" each task regathers

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from temcgl import graph, harness
-from temcgl.buffer import MemoryBuffer
+from temcgl.buffer import MemoryBuffer, select_entries
 from temcgl.coverage import coverage_ratio
 from temcgl.graph import Graph, induced_subgraph, normalize_adjacency
 from temcgl.harness import (
@@ -450,6 +450,17 @@ class ConcatBuffer:
         return b"".join(parts)
 
 
+def select_and_commit(buf, sampler_id, n, g, tes, task_id, candidates, rng,
+                      node_ids=None, hops=2) -> np.ndarray:
+    """Pick `n` of `candidates` by `sampler_id` and commit them to `buf` as
+    task `task_id`, kept under `node_ids[pick]` (default: the pick itself);
+    return the picks."""
+    selected = select_entries(sampler_id, g, tes, candidates, n, rng, hops)
+    ids = selected if node_ids is None else np.asarray(node_ids)[selected]
+    buf.commit(task_id, tes.values[selected], g.labels[selected], ids)
+    return selected
+
+
 # ---------------------------------------------------------------------------
 # sequential run oracle
 # ---------------------------------------------------------------------------
@@ -488,9 +499,7 @@ def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
     )
     layer_dims = [te_dim, *cfg.hidden_dims, num_classes]
     params = init_mlp(layer_dims, component_rng(cfg.seed, "model-init"))
-    buffer = MemoryBuffer(
-        cfg.budget, sampler_id=cfg.sampler_id, coverage_hops=cfg.resolved_coverage_hops()
-    )
+    buffer = MemoryBuffer()
     self_loops = cfg.resolved_self_loops()
 
     # Embeddings used at evaluation time, aligned with global node ids. Under
@@ -549,13 +558,17 @@ def oracle_run_continual(g: Graph, cfg: RunConfig) -> RunResult:
         )
 
         if cfg.regime == "replay":
-            selected = buffer.update_tem(
+            selected = select_and_commit(
+                buffer,
+                cfg.sampler_id,
+                cfg.budget.resolve(len(local_train)),
                 sub,
                 tes,
                 task.task_id,
                 local_train,
                 component_rng(cfg.seed, f"sampler-task-{task.task_id}"),
                 node_ids=visible,
+                hops=cfg.resolved_coverage_hops(),
             )
             cov = coverage_ratio(
                 sub, selected, hops=cfg.resolved_coverage_hops(), universe=local_train

@@ -41,6 +41,7 @@ from helpers import (
     dense_normalized,
     dense_propagation_matrix,
     random_edges,
+    select_and_commit,
 )
 
 LINEAR = ("power", "hop_average", "lazy_power")
@@ -366,9 +367,10 @@ def test_08_buffer_bytes_ignore_degree():
         mean_degrees.append(float(np.diff(g.indptr).mean()))
         adj = normalize_adjacency(g, True)
         tes = compute_tes(adj, g.features, PropagationStrategy("power", 2))
-        buffer = MemoryBuffer(BudgetPolicy(count=12), "coverage_max", coverage_hops=2)
-        buffer.update_tem(
-            g, tes, 0, g.split_nodes(TRAIN), component_rng(factor, "acceptance-memory")
+        buffer = MemoryBuffer()
+        select_and_commit(
+            buffer, "coverage_max", 12, g, tes, 0, g.split_nodes(TRAIN),
+            component_rng(factor, "acceptance-memory"), hops=2,
         )
         footprints.append(buffer.footprint_bytes())
 

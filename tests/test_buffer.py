@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temcgl.buffer import (
+    SAMPLER_IDS,
     BudgetPolicy,
     MemoryBuffer,
     _reservoir_pass,
@@ -14,6 +16,7 @@ from temcgl.buffer import (
     sample_nearest_centroid,
     sample_uniform,
     save_buffer,
+    select_entries,
     serialize_buffer,
 )
 from temcgl.graph import build_graph, normalize_adjacency
@@ -24,6 +27,7 @@ from helpers import (
     oracle_nearest_centroid,
     oracle_reservoir_pass,
     random_edges,
+    select_and_commit,
     star_edges,
     traced_peak,
 )
@@ -172,26 +176,26 @@ def test_reservoir_stream_is_uniform():
     g, tes = _toy_task(num_nodes=10)
     counts = np.zeros(10)
     for trial in range(2000):
-        buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
         rng = np.random.default_rng(trial)
-        for node in buf.update_tem(g, tes, task_id=0, candidates=np.arange(10), rng=rng):
+        for node in select_and_commit(MemoryBuffer(), "reservoir_stream", 2, g, tes, 0,
+                                      np.arange(10), rng):
             counts[node] += 1
     freqs = counts / 2000
     np.testing.assert_allclose(freqs, 0.2, atol=0.04)
 
 
 # ---------------------------------------------------------------------------
-# update_tem
+# select_entries and commit
 # ---------------------------------------------------------------------------
 
 
-def test_update_tem_uniform_records_entries():
+def test_commit_uniform_records_entries():
     g, tes = _toy_task()
-    buf = MemoryBuffer(BudgetPolicy(count=4), sampler_id="uniform")
+    buf = MemoryBuffer()
     candidates = np.arange(8)
     node_ids = np.arange(100, 112)  # pretend local ids map to these
-    selected = buf.update_tem(g, tes, task_id=0, candidates=candidates,
-                              rng=np.random.default_rng(5), node_ids=node_ids)
+    selected = select_and_commit(buf, "uniform", 4, g, tes, 0, candidates,
+                                 np.random.default_rng(5), node_ids=node_ids)
     assert len(buf) == 4
     for i, local in enumerate(selected):
         np.testing.assert_array_equal(buf.te[i], tes.values[local])
@@ -203,39 +207,76 @@ def test_update_tem_uniform_records_entries():
     assert buf.te[0, 0] != tes.values[selected[0]][0]
 
 
-def test_update_tem_rejects_repeat_task():
+def test_commit_rejects_repeat_task():
     g, tes = _toy_task()
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=3, candidates=np.arange(6), rng=np.random.default_rng(0))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 2, g, tes, 3, np.arange(6), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        buf.update_tem(g, tes, task_id=3, candidates=np.arange(6), rng=np.random.default_rng(1))
+        select_and_commit(buf, "uniform", 2, g, tes, 3, np.arange(6), np.random.default_rng(1))
     assert buf.tasks_seen == {3}
 
 
-def test_update_tem_all_samplers_run():
+def test_select_entries_all_samplers_run():
     for sampler in ("uniform", "centroid", "coverage_max", "reservoir_stream"):
         g, tes = _toy_task(seed=7)
-        buf = MemoryBuffer(BudgetPolicy(count=3), sampler_id=sampler, coverage_hops=1)
-        selected = buf.update_tem(
-            g, tes, task_id=0, candidates=np.arange(g.num_nodes), rng=np.random.default_rng(11)
+        buf = MemoryBuffer()
+        selected = select_and_commit(
+            buf, sampler, 3, g, tes, 0, np.arange(g.num_nodes), np.random.default_rng(11), hops=1
         )
         assert len(selected) == 3 and len(buf) == 3
         assert buf.te.shape == (3, tes.dim)
         np.testing.assert_array_equal(buf.label, g.labels[selected])
 
 
-def test_update_tem_budget_exceeds_candidates():
+def test_select_entries_budget_exceeds_candidates():
     g, tes = _toy_task()
-    buf = MemoryBuffer(BudgetPolicy(count=50), sampler_id="uniform")
     with pytest.raises(ValueError):
-        buf.update_tem(g, tes, task_id=0, candidates=np.arange(5), rng=np.random.default_rng(0))
+        select_entries("uniform", g, tes, np.arange(5), 50, np.random.default_rng(0), 2)
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_IDS)
+def test_select_entries_refuses_rows_that_do_not_match_the_graph(sampler):
+    g, _ = _toy_task(num_nodes=5)
+    tes = TEMatrix(np.zeros((10, 3)))
+    with pytest.raises(ValueError, match="10 embedding rows for a graph of 5 nodes"):
+        select_entries(sampler, g, tes, np.arange(10), 2, np.random.default_rng(0), 1)
+
+
+def test_select_entries_refuses_an_unknown_sampler():
+    g, tes = _toy_task()
+    with pytest.raises(ValueError, match="unknown sampler 'nope'"):
+        select_entries("nope", g, tes, np.arange(6), 2, np.random.default_rng(0), 2)
+
+
+@pytest.mark.parametrize(
+    "task_id, te, label, node_id, match",
+    [
+        (1, np.zeros(3), [0, 1, 2], [0, 1, 2], "2-D te"),
+        (1, np.zeros((2, 3, 1)), [0, 1], [0, 1], "2-D te"),
+        (1, np.zeros((2, 3)), [0, 1, 2], [0, 1], "one label and node id per row"),
+        (1, np.zeros((2, 3)), [0, 1], [0], "one label and node id per row"),
+        (0, np.zeros((2, 3)), [0, 1], [0, 1], "already committed"),
+        (1, np.zeros((2, 4)), [0, 1], [0, 1], "disagree on embedding dim"),
+    ],
+)
+def test_commit_refusals_leave_the_buffer_unchanged(task_id, te, label, node_id, match):
+    buf = MemoryBuffer()
+    buf.commit(0, np.arange(6.0).reshape(2, 3), [4, 5], [7, 8])
+    columns = {name: getattr(buf, name).copy() for name in ("te", "label", "task_id", "node_id")}
+    with pytest.raises(ValueError, match=match):
+        buf.commit(task_id, te, label, node_id)
+    assert buf.tasks_seen == {0}
+    for name, want in columns.items():
+        got = getattr(buf, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_buffer_accumulates_across_tasks():
     g, tes = _toy_task()
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(0, 6), rng=np.random.default_rng(0))
-    buf.update_tem(g, tes, task_id=1, candidates=np.arange(6, 12), rng=np.random.default_rng(1))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 2, g, tes, 0, np.arange(0, 6), np.random.default_rng(0))
+    select_and_commit(buf, "uniform", 2, g, tes, 1, np.arange(6, 12), np.random.default_rng(1))
     assert len(buf) == 4
     assert buf.task_id.tolist() == [0, 0, 1, 1]
     assert set(buf.node_id[buf.task_id == 1].tolist()) <= set(range(6, 12))
@@ -248,9 +289,9 @@ def test_buffer_accumulates_across_tasks():
 
 def test_buffer_checkpoint_round_trip(tmp_path):
     g, tes = _toy_task(seed=2)
-    buf = MemoryBuffer(BudgetPolicy(count=3), sampler_id="coverage_max", coverage_hops=2)
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(g.num_nodes),
-                   rng=np.random.default_rng(1))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "coverage_max", 3, g, tes, 0, np.arange(g.num_nodes),
+                      np.random.default_rng(1), hops=2)
     path = tmp_path / "buffer.bin"
     save_buffer(buf, path)
     back = load_buffer(path)
@@ -266,7 +307,7 @@ def test_buffer_checkpoint_round_trip(tmp_path):
 
 
 def test_empty_buffer_round_trip(tmp_path):
-    buf = MemoryBuffer(BudgetPolicy(count=1), sampler_id="uniform")
+    buf = MemoryBuffer()
     path = tmp_path / "empty.bin"
     save_buffer(buf, path)
     back = load_buffer(path)
@@ -275,8 +316,8 @@ def test_empty_buffer_round_trip(tmp_path):
 
 def test_buffer_checkpoint_rejects_corruption(tmp_path):
     g, tes = _toy_task(seed=3)
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(6), rng=np.random.default_rng(0))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 2, g, tes, 0, np.arange(6), np.random.default_rng(0))
     path = tmp_path / "buffer.bin"
     save_buffer(buf, path)
     blob = bytearray(path.read_bytes())
@@ -294,12 +335,17 @@ def test_buffer_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(huge_dim))
     with pytest.raises(ValueError, match="size mismatch"):
         load_buffer(bad)
+    # serialize_buffer writes an empty buffer with dim 0 and no other
+    for dim in (5, 2**32 - 1):
+        bad.write_bytes(struct.pack("<4sIIQ", b"TEMB", 1, dim, 0))
+        with pytest.raises(ValueError, match=f"bad.bin: empty buffer file with embedding dim {dim}"):
+            load_buffer(bad)
 
 
 def test_footprint_is_exact_and_degree_free(tmp_path):
     g, tes = _toy_task(seed=4)
-    buf = MemoryBuffer(BudgetPolicy(count=4), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(12), rng=np.random.default_rng(0))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 4, g, tes, 0, np.arange(12), np.random.default_rng(0))
     path = tmp_path / "buffer.bin"
     save_buffer(buf, path)
     assert buf.footprint_bytes() == path.stat().st_size
@@ -309,36 +355,36 @@ def test_footprint_is_exact_and_degree_free(tmp_path):
 
 
 def test_footprint_counts_empty_and_rejects_mixed_dims():
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="reservoir_stream")
+    buf = MemoryBuffer()
     assert buf.footprint_bytes() == len(serialize_buffer(buf)) == 20
     g, tes = _toy_task(seed=5)
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+    select_and_commit(buf, "reservoir_stream", 2, g, tes, 0, np.arange(4),
+                      np.random.default_rng(0))
     before = serialize_buffer(buf)
     wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)))
     # a row of another width is refused at commit time and leaves the buffer as it was
     with pytest.raises(ValueError, match="disagree on embedding dim"):
-        buf.update_tem(g, wide, task_id=1, candidates=np.arange(4, 8),
-                       rng=np.random.default_rng(0))
+        select_and_commit(buf, "reservoir_stream", 2, g, wide, 1, np.arange(4, 8),
+                          np.random.default_rng(0))
     assert serialize_buffer(buf) == before and buf.tasks_seen == {0}
     assert buf.footprint_bytes() == len(before)
 
 
 def test_zero_count_commit_still_refuses_the_task():
     g, tes = _toy_task(seed=5)
-    buf = MemoryBuffer(BudgetPolicy(count=0), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 0, g, tes, 0, np.arange(4), np.random.default_rng(0))
     assert len(buf) == 0 and buf.tasks_seen == {0}
     with pytest.raises(ValueError, match="already committed"):
-        buf.update_tem(g, tes, task_id=0, candidates=np.arange(4), rng=np.random.default_rng(0))
+        select_and_commit(buf, "uniform", 0, g, tes, 0, np.arange(4), np.random.default_rng(0))
     # an empty buffer is written with embedding dim 0
     assert serialize_buffer(buf)[8:12] == (0).to_bytes(4, "little")
 
 
 def test_serialize_rejects_ids_outside_int32(tmp_path):
     g, tes = _toy_task(seed=5)
-    buf = MemoryBuffer(BudgetPolicy(count=2), sampler_id="uniform")
-    buf.update_tem(g, tes, task_id=2**31, candidates=np.arange(4),
-                   rng=np.random.default_rng(0))
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", 2, g, tes, 2**31, np.arange(4), np.random.default_rng(0))
     with pytest.raises(ValueError, match="task_id"):
         serialize_buffer(buf)
     with pytest.raises(ValueError, match="task_id"):
@@ -373,18 +419,18 @@ def test_commits_match_a_concatenating_oracle(seed, counts, lead):
     # the stacked rows and leave the entries alone.
     g, tes = _toy_task(seed=seed % 50)
     node_ids = np.arange(100, 100 + g.num_nodes)
-    sized = MemoryBuffer(None, sampler_id="uniform")
+    sized = MemoryBuffer()
     sized._reserve(sum(counts), lead, tes.dim)
-    buffers = (sized, MemoryBuffer(None, sampler_id="uniform"))
+    buffers = (sized, MemoryBuffer())
     oracle = ConcatBuffer()
     rng = np.random.default_rng(seed)
     for task_id, count in enumerate(counts):
         tes = TEMatrix(rng.standard_normal((g.num_nodes, tes.dim)))
         picks = []
         for buf in buffers:
-            buf.budget = BudgetPolicy(count=count)
-            picks.append(buf.update_tem(g, tes, task_id, np.arange(g.num_nodes),
-                                        np.random.default_rng([seed, task_id]), node_ids))
+            picks.append(select_and_commit(buf, "uniform", count, g, tes, task_id,
+                                           np.arange(g.num_nodes),
+                                           np.random.default_rng([seed, task_id]), node_ids))
         assert picks[0].tolist() == picks[1].tolist()
         oracle.commit(tes.values[picks[0]], g.labels[picks[0]], np.full(count, task_id),
                       node_ids[picks[0]])
@@ -397,8 +443,8 @@ def test_commits_match_a_concatenating_oracle(seed, counts, lead):
             if len(buf):
                 wide = TEMatrix(np.zeros((g.num_nodes, tes.dim + 1)))
                 with pytest.raises(ValueError, match="disagree on embedding dim"):
-                    buf.update_tem(g, wide, task_id + 100, np.arange(g.num_nodes),
-                                   np.random.default_rng(0))
+                    select_and_commit(buf, "uniform", count, g, wide, task_id + 100,
+                                      np.arange(g.num_nodes), np.random.default_rng(0))
                 assert buf.tasks_seen == set(range(task_id + 1))
                 _same_columns(buf, oracle)
 
@@ -409,8 +455,9 @@ def test_buffer_files_are_written_and_read_in_chunks(tmp_path):
     rng = np.random.default_rng(0)
     n = 3000
     g = build_graph(n, np.empty((0, 2)), labels=rng.integers(0, 9, size=n))
-    buf = MemoryBuffer(BudgetPolicy(count=n), sampler_id="uniform")
-    buf.update_tem(g, TEMatrix(rng.standard_normal((n, 256))), 0, np.arange(n), rng)
+    buf = MemoryBuffer()
+    select_and_commit(buf, "uniform", n, g, TEMatrix(rng.standard_normal((n, 256))), 0,
+                      np.arange(n), rng)
     path = tmp_path / "buffer.bin"
     _, save_peak = traced_peak(lambda: save_buffer(buf, path))
     back, load_peak = traced_peak(lambda: load_buffer(path))

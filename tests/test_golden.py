@@ -55,6 +55,8 @@ from temcgl.model import init_mlp, load_model, save_model
 from temcgl.propagation import VARIANTS, PropagationStrategy, TEMatrix
 from temcgl.rng import component_rng
 
+from helpers import select_and_commit
+
 
 def _digest(*arrays: np.ndarray) -> str:
     h = hashlib.sha256()
@@ -334,11 +336,11 @@ def _chunked_buffer_arrays(tmp) -> dict[str, tuple[np.ndarray, ...]]:
     rng = np.random.default_rng(21)
     n = 1200
     g = build_graph(n, np.empty((0, 2)), labels=rng.integers(0, 7, size=n))
-    buf = MemoryBuffer(None, sampler_id="uniform")
+    buf = MemoryBuffer()
     for task_id, count in enumerate((1000, 0, 1100, 700)):
-        buf.budget = BudgetPolicy(count=count)
         tes = TEMatrix(rng.standard_normal((n, 256)))
-        buf.update_tem(g, tes, task_id, np.arange(n), rng, node_ids=np.arange(n) + 5000 * task_id)
+        select_and_commit(buf, "uniform", count, g, tes, task_id, np.arange(n), rng,
+                          node_ids=np.arange(n) + 5000 * task_id)
     save_buffer(buf, tmp / "buffer.bin")
     save_buffer(load_buffer(tmp / "buffer.bin"), tmp / "again.bin")
     return {

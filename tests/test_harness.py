@@ -230,7 +230,7 @@ def test_run_continual_shapes_and_determinism():
 
 
 def _buffer_of(te: np.ndarray, labels: np.ndarray) -> MemoryBuffer:
-    buffer = MemoryBuffer(BudgetPolicy(count=1))
+    buffer = MemoryBuffer()
     if len(labels):
         buffer._append(te, labels, np.zeros(len(labels), dtype=np.int64), np.arange(len(labels)))
     return buffer
@@ -356,6 +356,18 @@ def test_drop_all_inter_task_edges_runs_deterministically():
     again = run_continual(g, cfg)
     np.testing.assert_array_equal(res.matrix.values, again.matrix.values)
     assert not np.isnan(res.matrix.values[1, 0])
+
+
+def test_count_budget_above_a_task_fails_before_any_step(monkeypatch):
+    g = generate_sbm((30, 30, 30, 30, 6, 6, 30, 30), p_in=0.25, p_out=0.01, feature_dim=8,
+                     feature_shift=4.0, seed=0)
+    assert [len(t.train_nodes) for t in build_task_sequence(g, 2)] == [36, 36, 6, 36]
+    steps = []
+    for name in ("_graph_step", "_head_step"):
+        monkeypatch.setattr(harness_module, name, lambda *args, name=name: steps.append(name))
+    with pytest.raises(ValueError, match="budget 10 exceeds the 6 training nodes of task 2"):
+        run_continual(g, _cfg(budget=BudgetPolicy(count=10)))
+    assert steps == []
 
 
 def test_run_working_set_stays_below_one_n_by_dim_matrix():

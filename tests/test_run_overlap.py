@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from temcgl import harness
+from temcgl import buffer, harness
 from temcgl.buffer import SAMPLER_IDS, BudgetPolicy, serialize_buffer
 from temcgl.graph import generate_sbm
 from temcgl.harness import (
@@ -164,13 +164,28 @@ def _fail_head_at_task_1(monkeypatch):
     return install
 
 
-def test_graph_side_error_matches_the_oracle():
-    # the last task has too few candidates for a fixed per-task budget
+def _fail_sampler_at_task_2(monkeypatch):
+    # run_continual refuses a budget some task cannot meet before any step,
+    # so a graph-side error is injected into the sampler both loops call
+    original = buffer.coverage_max_sample
+
+    def install():
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("sampler failed at task 2")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(buffer, "coverage_max_sample", failing)
+
+    return install
+
+
+def test_graph_side_error_matches_the_oracle(monkeypatch):
     g = _graph((30, 30, 30, 30, 8, 8))
-    tasks = build_task_sequence(g, 2)
-    count = min(len(t.train_nodes) for t in tasks[:2])
-    assert len(tasks[2].train_nodes) < count
-    _assert_raises_like_the_oracle(g, _cfg(budget=BudgetPolicy(count=count)))
+    _assert_raises_like_the_oracle(g, _cfg(), _fail_sampler_at_task_2(monkeypatch))
 
 
 def test_head_side_error_matches_the_oracle(monkeypatch):
@@ -178,13 +193,11 @@ def test_head_side_error_matches_the_oracle(monkeypatch):
 
 
 def test_head_error_comes_before_a_later_graph_side_error(monkeypatch):
-    # the head fails at task 1 and the buffer at task 2: sequentially the
+    # the head fails at task 1 and the sampler at task 2: sequentially the
     # head's error is raised first
     g = _graph((30, 30, 30, 30, 8, 8))
-    count = min(len(t.train_nodes) for t in build_task_sequence(g, 2)[:2])
-    _assert_raises_like_the_oracle(
-        g, _cfg(budget=BudgetPolicy(count=count)), _fail_head_at_task_1(monkeypatch)
-    )
+    failures = (_fail_sampler_at_task_2(monkeypatch), _fail_head_at_task_1(monkeypatch))
+    _assert_raises_like_the_oracle(g, _cfg(), lambda: [install() for install in failures])
 
 
 @pytest.mark.parametrize("regime", ["replay", "joint"])
