@@ -4,8 +4,9 @@ The coverage of a node set is the fraction of a universe of nodes that
 falls inside at least one member's L-hop receptive field. Since balls
 overlap, coverage of a set is a union, not a sum.
 
-Balls come from `graph._reach`: row i of a block of candidates marks the
-ball around candidate i, and its entries inside the universe are counted.
+Balls come from `graph._reach` as plain index arrays: row i of a block of
+candidates lists the ball around candidate i, and its members inside the
+universe are counted.
 `coverage_max_sample` draws candidates sequentially without replacement,
 each draw in proportion to the candidate's singleton coverage. It ignores
 overlap: drawing a candidate does not lower the weight of another whose
@@ -46,7 +47,7 @@ def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray 
         return 0.0
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ValueError("node id out of range")
-    ball = _reach(g, nodes.ravel(), [0, nodes.size], hops).indices
+    _, ball = _reach(g, nodes.ravel(), [0, nodes.size], hops)
     return float(mask[ball].sum() / total)
 
 
@@ -61,13 +62,12 @@ def singleton_coverage_table(
     candidates = np.asarray(candidates, dtype=np.int64)
     if len(candidates) and (candidates.min() < 0 or candidates.max() >= g.num_nodes):
         raise ValueError("candidate node id out of range")
-    in_universe = mask.astype(np.float64)
     table = np.empty(len(candidates))
     for start in range(0, len(candidates), COVERAGE_BLOCK_ROWS):
         block = candidates[start : start + COVERAGE_BLOCK_ROWS]
-        reach = _reach(g, block, np.arange(len(block) + 1), hops)
-        # sums of 1.0 are exact integers, so this divides the same counts
-        table[start : start + len(block)] = (reach @ in_universe) / total
+        indptr, ball = _reach(g, block, np.arange(len(block) + 1), hops)
+        # each row's universe members; no row is empty, as each holds its candidate
+        table[start : start + len(block)] = np.add.reduceat(mask[ball], indptr[:-1], dtype=np.int64) / total
     return table
 
 

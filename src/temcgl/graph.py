@@ -14,13 +14,14 @@ object because two different restrictions matter later on:
 Both restrictions slice the parent CSR arrays with one keep-mask over its
 entries, and construction, validation and normalisation work on whole
 int64 arrays (sorted ``row * n + col`` keys, masks, bincounts); no step
-loops over nodes in Python. scipy multiplies: the propagation products,
-and the boolean sparse products of ``_reach``, from which every L-hop
-ball (receptive field, coverage) is read. Each hop multiplies by the
-graph's boolean A + I, built on first use and kept on the object; it is
-also the self-looped pattern that normalisation starts from. The SBM
-generator still draws one uniform per node pair, O(n^2) time, but in
-bounded bands spread over threads.
+loops over nodes in Python. scipy is this module's private multiply
+kernel: the propagation products of ``spmm``, and the boolean products of
+``_reach``, which returns every L-hop ball (receptive field, coverage) as
+plain ``(indptr, indices)`` arrays. Each hop multiplies by the graph's
+boolean A + I, built on first use and kept on the object; it is also the
+self-looped pattern that normalisation starts from. The SBM generator
+still draws one uniform per node pair, O(n^2) time, but in bounded bands
+spread over threads.
 """
 from __future__ import annotations
 
@@ -129,9 +130,6 @@ class Graph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def split_nodes(self, code: int) -> np.ndarray:
-        return np.flatnonzero(self.split == code)
-
     _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
 
 
@@ -194,6 +192,16 @@ def _whole_numbers(name: str, values) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+def _sorted_node_ids(nodes, num_nodes: int, caller: str, what: str) -> np.ndarray:
+    """`nodes` as int64 if they are sorted, unique, in-range node ids."""
+    nodes = _whole_numbers("nodes", nodes)
+    if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"{caller} wants a sorted array of unique node ids")
+    if nodes[0] < 0 or nodes[-1] >= num_nodes:
+        raise ValueError(f"{what} out of range")
+    return nodes
+
+
 def _slice_csr(
     indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,19 +250,8 @@ class NormalizedAdjacency:
     _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
 
     @functools.cached_property
-    def _csr(self) -> sp.csr_array:
-        return sp.csr_array(
-            (self.values, self.indices, self.indptr),
-            shape=(self.num_nodes, self.num_nodes),
-        )
-
-    def to_scipy(self) -> sp.csr_array:
-        """The operator as a scipy ``csr_array``, built once.
-
-        It shares this operator's ``values``, ``indices`` and ``indptr``
-        arrays rather than copying them; do not modify it.
-        """
-        return self._csr
+    def _csr(self) -> sp.csr_array:  # `spmm`'s matrix: built once, on this operator's arrays
+        return sp.csr_array((self.values, self.indices, self.indptr), shape=(self.num_nodes,) * 2)
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Sparse-dense product; the one kernel all propagation goes through.
@@ -267,7 +264,7 @@ class NormalizedAdjacency:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[:, None]
-        out = self.to_scipy() @ x
+        out = self._csr @ x
         return out[:, 0] if squeeze else out
 
     def restrict(self, nodes: np.ndarray) -> "NormalizedAdjacency":
@@ -277,11 +274,7 @@ class NormalizedAdjacency:
         operator is what a node's receptive field needs to reproduce its
         full-graph embedding exactly.
         """
-        nodes = _whole_numbers("nodes", nodes)
-        if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("restriction wants a sorted array of unique node ids")
-        if nodes[0] < 0 or nodes[-1] >= self.num_nodes:
-            raise ValueError("restriction node id out of range")
+        nodes = _sorted_node_ids(nodes, self.num_nodes, "restriction", "restriction node id")
         indptr, indices, keep = _slice_csr(self.indptr, self.indices, nodes)
         return NormalizedAdjacency(
             num_nodes=len(nodes),
@@ -316,19 +309,21 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
 # ---------------------------------------------------------------------------
 
 
-def _reach(g: "Graph | NormalizedAdjacency", seeds: np.ndarray, starts: np.ndarray, hops: int) -> sp.csr_array:
-    """Boolean CSR rows: row r marks, once each, every node within `hops`
-    steps of ``seeds[starts[r]:starts[r + 1]]`` in `g`'s stored structure.
+def _reach(g: "Graph | NormalizedAdjacency", seeds, starts, hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR index arrays ``(indptr, indices)``: row r lists once each, in no
+    set order, every node within `hops` steps of ``seeds[starts[r]:starts[r + 1]]``
+    in `g`'s stored structure.
 
-    Each hop multiplies by `g._hop`, built once per graph. `seeds` and `starts`
-    are copied: the matrix would keep int64 arrays and sort them in place.
+    Each hop is a boolean sparse product with `g._hop`, built once per graph.
+    `seeds` and `starts` are copied: the matrix would keep int64 arrays and
+    sort them in place.
     """
     seeds, starts = np.array(seeds, dtype=np.int64), np.array(starts, dtype=np.int64)
     reach = sp.csr_array((np.ones(len(seeds), dtype=bool), seeds, starts), shape=(len(starts) - 1, g.num_nodes))
     reach.sum_duplicates()  # repeated seeds merge; boolean sums and products add by `or`
     for _ in range(hops):
         reach = reach @ g._hop
-    return reach
+    return reach.indptr, reach.indices
 
 
 def homophily_ratio(g: Graph) -> float:
@@ -346,11 +341,7 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     result are the subgraph's own — normalising it does not reuse parent
     weights (contrast `NormalizedAdjacency.restrict`).
     """
-    nodes = _whole_numbers("nodes", nodes)
-    if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
-        raise ValueError("induced_subgraph wants a sorted array of unique node ids")
-    if nodes[0] < 0 or nodes[-1] >= g.num_nodes:
-        raise ValueError("node id out of range")
+    nodes = _sorted_node_ids(nodes, g.num_nodes, "induced_subgraph", "node id")
     indptr, indices, _ = _slice_csr(g.indptr, g.indices, nodes)
     return Graph(len(nodes), indptr, indices, g.features[nodes], g.labels[nodes], g.split[nodes])
 

@@ -233,8 +233,7 @@ def receptive_field(g: Graph | NormalizedAdjacency, v: int, hops: int) -> np.nda
         raise ValueError(f"node {v} out of range")
     if hops < 0:
         raise ValueError("hops must be >= 0")
-    reach = _reach(g, [v], [0, 1], hops)
-    return np.sort(reach.indices).astype(np.int64)
+    return np.sort(_reach(g, [v], [0, 1], hops)[1]).astype(np.int64)
 
 
 def subnetwork_te(adj: NormalizedAdjacency, features: np.ndarray, strategy: PropagationStrategy, v: int) -> np.ndarray:

@@ -65,6 +65,13 @@ def dense_normalized(a: np.ndarray, self_loops: bool) -> np.ndarray:
     return inv[:, None] * a * inv[None, :]
 
 
+def dense_operator(adj) -> np.ndarray:
+    """A `NormalizedAdjacency` as a dense matrix, written from its CSR arrays."""
+    dense = np.zeros((adj.num_nodes, adj.num_nodes))
+    dense[np.repeat(np.arange(adj.num_nodes), np.diff(adj.indptr)), adj.indices] = adj.values
+    return dense
+
+
 def dense_propagation_matrix(a_hat: np.ndarray, variant: str, hops: int,
                              alpha: float | None = None) -> np.ndarray:
     """The full propagation operator, materialised densely.

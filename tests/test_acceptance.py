@@ -120,7 +120,7 @@ def test_02_precomputed_and_recomputed_training_agree_bitwise():
             (12, 12, 12), p_in=0.3, p_out=0.05, feature_dim=6, feature_shift=2.0, seed=seed
         )
         adj = normalize_adjacency(g, strategy.default_self_loops)
-        nodes = g.split_nodes(TRAIN)
+        nodes = np.flatnonzero(g.split == TRAIN)
         y = g.labels[nodes]
         x_stored = compute_tes(adj, g.features, strategy).values[nodes]
 
@@ -369,7 +369,7 @@ def test_08_buffer_bytes_ignore_degree():
         tes = compute_tes(adj, g.features, PropagationStrategy("power", 2))
         buffer = MemoryBuffer()
         select_and_commit(
-            buffer, "coverage_max", 12, g, tes, 0, g.split_nodes(TRAIN),
+            buffer, "coverage_max", 12, g, tes, 0, np.flatnonzero(g.split == TRAIN),
             component_rng(factor, "acceptance-memory"), hops=2,
         )
         footprints.append(buffer.footprint_bytes())
@@ -405,8 +405,8 @@ def test_09_rehearsal_lifts_covered_class_probability():
             g, candidates, hops=2, budget=3,
             rng=component_rng(seed, "acceptance-rehearsal"), universe=candidates,
         )
-        reach = _reach(g, selected, [0, len(selected)], 2)
-        ball = np.sort(reach.indices)
+        _, ball = _reach(g, selected, [0, len(selected)], 2)
+        ball = np.sort(ball)
         covered = np.setdiff1d(ball[g.labels[ball] == k], selected)
         assert covered.size > 0
 

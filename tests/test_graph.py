@@ -33,6 +33,7 @@ from helpers import (
     dense_adjacency,
     dense_csr,
     dense_normalized,
+    dense_operator,
     oracle_asymmetric_entries,
     oracle_sbm_edges,
     oracle_slice_csr,
@@ -297,24 +298,6 @@ def test_induced_subgraph_peak_stays_near_its_result(sbm_4k):
     assert peak - held < 3 * entry_bytes
 
 
-def test_to_scipy_shares_the_operator_arrays(sbm_4k):
-    g, _ = sbm_4k
-    for loops in (False, True):
-        adj = normalize_adjacency(g, self_loops=loops)
-        m = adj.to_scipy()
-        assert isinstance(m, sp.csr_array)
-        assert np.shares_memory(m.indices, adj.indices)
-        assert np.shares_memory(m.indptr, adj.indptr)
-        assert np.shares_memory(m.data, adj.values)
-
-
-def test_split_nodes():
-    g = build_graph(4, path_edges(4), split=np.array([0, 1, 2, 0]))
-    assert g.split_nodes(TRAIN).tolist() == [0, 3]
-    assert g.split_nodes(VALID).tolist() == [1]
-    assert g.split_nodes(TEST).tolist() == [2]
-
-
 # ---------------------------------------------------------------------------
 # symmetric normalisation
 # ---------------------------------------------------------------------------
@@ -323,12 +306,12 @@ def test_split_nodes():
 def test_normalize_path_hand_values():
     g = build_graph(3, path_edges(3))
     adj = normalize_adjacency(g, self_loops=False)
-    dense = adj.to_scipy().toarray()
+    dense = dense_operator(adj)
     s = 1.0 / np.sqrt(2.0)
     expect = np.array([[0, s, 0], [s, 0, s], [0, s, 0]])
     np.testing.assert_allclose(dense, expect, atol=1e-15)
 
-    withloops = normalize_adjacency(g, self_loops=True).to_scipy().toarray()
+    withloops = dense_operator(normalize_adjacency(g, self_loops=True))
     expect2 = np.array(
         [
             [1 / 2, 1 / np.sqrt(6), 0],
@@ -348,7 +331,7 @@ def test_normalize_matches_dense_oracle():
         for loops in (False, True):
             adj = normalize_adjacency(g, self_loops=loops)
             oracle = dense_normalized(dense_adjacency(n, edges), loops)
-            np.testing.assert_allclose(adj.to_scipy().toarray(), oracle, atol=1e-14)
+            np.testing.assert_allclose(dense_operator(adj), oracle, atol=1e-14)
             # stored values are exactly 1/sqrt(d_u d_v) for recorded degrees
             for u in range(n):
                 for k in range(adj.indptr[u], adj.indptr[u + 1]):
@@ -361,7 +344,7 @@ def test_normalize_matches_dense_oracle():
 def test_isolated_node_gets_zero_row():
     g = build_graph(3, np.array([[0, 1]]))
     adj = normalize_adjacency(g, self_loops=False)
-    dense = adj.to_scipy().toarray()
+    dense = dense_operator(adj)
     assert np.all(dense[2] == 0.0) and np.all(dense[:, 2] == 0.0)
     assert np.all(np.isfinite(dense))
     out = adj.spmm(np.ones((3, 2)))
@@ -375,14 +358,14 @@ def test_spmm_and_restrict_match_dense():
         edges = random_edges(n, 0.25, rng)
         g = build_graph(n, edges)
         adj = normalize_adjacency(g, self_loops=True)
-        dense = adj.to_scipy().toarray()
+        dense = dense_operator(adj)
         x = rng.standard_normal((n, 3))
         np.testing.assert_allclose(adj.spmm(x), dense @ x, atol=1e-12)
 
         keep = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
         sub = adj.restrict(keep)
         # restriction copies operator values; it must NOT renormalise
-        np.testing.assert_array_equal(sub.to_scipy().toarray(), dense[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(dense_operator(sub), dense[np.ix_(keep, keep)])
 
 
 def test_spmm_reuses_one_scipy_matrix(monkeypatch):
@@ -393,14 +376,18 @@ def test_spmm_reuses_one_scipy_matrix(monkeypatch):
     dense = dense_normalized(dense_adjacency(n, edges), self_loops=True)
     x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal(n)
     first = adj.spmm(x1)
-    matrix = adj.to_scipy()
+    matrix = adj._csr
+    # it shares the operator's arrays instead of copying them
+    assert np.shares_memory(matrix.indices, adj.indices)
+    assert np.shares_memory(matrix.indptr, adj.indptr)
+    assert np.shares_memory(matrix.data, adj.values)
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("the scipy matrix was built again")
 
     monkeypatch.setattr(graph_module.sp, "csr_array", no_rebuild)
     second = adj.spmm(x2)
-    assert adj.to_scipy() is matrix
+    assert adj._csr is matrix
     np.testing.assert_allclose(first, dense @ x1, atol=1e-12)
     np.testing.assert_allclose(second, dense @ x2, atol=1e-12)
 
@@ -439,12 +426,13 @@ def test_reach_rows_match_set_bfs(pattern, hops, looped, rows):
     seeds = np.array([s for row in rows for s in row], dtype=np.int64)
     starts = np.cumsum([0] + [len(row) for row in rows])
     given = seeds.copy(), starts.copy()
-    reach = graph_module._reach(structure, seeds, starts, hops)
+    indptr, indices = graph_module._reach(structure, seeds, starts, hops)
     np.testing.assert_array_equal(seeds, given[0])  # the caller's arrays are left as they were
     np.testing.assert_array_equal(starts, given[1])
-    assert reach.shape == (len(rows), n) and reach.dtype == bool and reach.data.all()
+    assert type(indptr) is np.ndarray and type(indices) is np.ndarray
+    assert indptr.shape == (len(rows) + 1,) and indptr[0] == 0 and indptr[-1] == len(indices)
     for r, row in enumerate(rows):
-        got = reach.indices[reach.indptr[r] : reach.indptr[r + 1]].tolist()
+        got = indices[indptr[r] : indptr[r + 1]].tolist()
         assert len(got) == len(set(got))  # each node once
         assert set(got) == ball_oracle(n, edges, row, hops)
 
@@ -539,7 +527,7 @@ def test_induced_subgraph_matches_build_graph_on_filtered_edges(seed: int):
 def test_induced_subgraph_renormalizes_degrees():
     g = build_graph(3, path_edges(3))
     sub = induced_subgraph(g, np.array([0, 1]))
-    dense = normalize_adjacency(sub, self_loops=False).to_scipy().toarray()
+    dense = dense_operator(normalize_adjacency(sub, self_loops=False))
     # inside the subgraph node 1 has degree 1, so the weight is 1, not 1/sqrt(2)
     np.testing.assert_allclose(dense, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
 
