@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .coverage import coverage_max_sample
-from .graph import Graph, _int_fields
+from .graph import Graph, _as_int, _int_fields, _whole_numbers
 from .propagation import TEMatrix
 
 SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
@@ -93,8 +93,8 @@ def sample_nearest_centroid(
     id breaking ties. Fully deterministic.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
-    if n > len(candidates):
-        raise ValueError(f"cannot draw {n} from {len(candidates)} candidates")
+    if not 0 <= n <= len(candidates):
+        raise ValueError(f"cannot draw n={n} from {len(candidates)} candidates")
     classes, cls = np.unique(np.asarray(labels)[candidates], return_inverse=True)
     dist = np.empty(len(candidates))
     for k in range(len(classes)):
@@ -137,8 +137,8 @@ def select_entries(
         raise ValueError("no candidates to sample from")
     if candidates.min() < 0 or candidates.max() >= g.num_nodes:
         raise ValueError("candidate id out of range")
-    if n > len(candidates):
-        raise ValueError(f"budget {n} exceeds {len(candidates)} candidates")
+    if not 0 <= n <= len(candidates):
+        raise ValueError(f"cannot draw n={n} from {len(candidates)} candidates")
     if sampler_id == "uniform":
         return sample_uniform(candidates, n, rng)
     if sampler_id == "centroid":
@@ -231,6 +231,8 @@ class MemoryBuffer:
         """Store one task's entries: row i of `te` with `label[i]` and
         `node_id[i]`. Every task commits exactly once; a refused commit
         leaves the buffer as it was."""
+        task_id = _as_int("task_id", task_id)
+        label, node_id = _whole_numbers("label", label), _whole_numbers("node_id", node_id)
         if np.ndim(te) != 2 or not len(te) == len(label) == len(node_id):
             raise ValueError("commit needs a 2-D te and one label and node id per row")
         if task_id in self._tasks_seen:
@@ -238,7 +240,7 @@ class MemoryBuffer:
         if len(self) and self.te.shape[1] != te.shape[1]:
             raise ValueError("buffer entries disagree on embedding dim")
         self._append(te, label, np.full(len(te), task_id), node_id)
-        self._tasks_seen.add(int(task_id))
+        self._tasks_seen.add(task_id)
 
     def footprint_bytes(self) -> int:
         """Exact size of the serialised buffer, counted without serialising it."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, _reach
+from .graph import Graph, _reach, _whole_numbers
 
 # Candidates whose balls are expanded together in one sparse product; bounds
 # the fill-in of the reachability block on dense graphs or large radii.
@@ -26,7 +26,7 @@ COVERAGE_BLOCK_ROWS = 1024
 def _universe_mask(g: Graph, universe: np.ndarray | None) -> np.ndarray:
     if universe is None:
         return np.ones(g.num_nodes, dtype=bool)
-    universe = np.asarray(universe, dtype=np.int64)
+    universe = _whole_numbers("universe", universe)
     if universe.size == 0:
         raise ValueError("coverage universe is empty")
     if universe.min() < 0 or universe.max() >= g.num_nodes:
@@ -42,7 +42,7 @@ def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray 
         raise ValueError("hops must be >= 0")
     mask = _universe_mask(g, universe)
     total = int(mask.sum())
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = _whole_numbers("nodes", nodes)
     if nodes.size == 0:
         return 0.0
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
@@ -59,7 +59,7 @@ def singleton_coverage_table(
         raise ValueError("hops must be >= 0")
     mask = _universe_mask(g, universe)
     total = int(mask.sum())
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = _whole_numbers("candidates", candidates)
     if len(candidates) and (candidates.min() < 0 or candidates.max() >= g.num_nodes):
         raise ValueError("candidate node id out of range")
     table = np.empty(len(candidates))
@@ -82,7 +82,7 @@ def coverage_max_sample(
     """Draw `budget` distinct candidates, each with probability proportional
     to its singleton coverage among the not-yet-drawn ones.
     """
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = _whole_numbers("candidates", candidates)
     if len(np.unique(candidates)) != len(candidates):
         raise ValueError("candidates must be unique")
     if budget < 0:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import NormalizedAdjacency
+from .graph import NormalizedAdjacency, _whole_numbers
 from .propagation import PropagationStrategy, propagation_row
 
 MODEL_MAGIC = b"TEMM"
@@ -116,7 +116,7 @@ class _Workspace:
 
     def _init_training(self, params: MlpParams, y, sample_weight) -> None:
         n, num_out = self.logits.shape
-        y = np.asarray(y, dtype=np.int64)
+        y = _whole_numbers("y", y)
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if w.shape != (n,) or np.any(w < 0):
             raise ValueError("sample weights must be non-negative, one per row")
@@ -141,7 +141,7 @@ class _Workspace:
         n, num_out = self.logits.shape
         if n == 0:
             raise ValueError("cannot score an empty evaluation set")
-        self.classes = np.unique(np.asarray(classes, dtype=np.int64))
+        self.classes = np.unique(_whole_numbers("allowed_classes", classes))
         if len(self.classes) == 0:
             raise ValueError("no allowed classes")
         lo, hi = int(self.classes[0]), int(self.classes[-1])
@@ -232,7 +232,7 @@ def masked_accuracy(
     Ties resolve to the lowest allowed class id, which keeps evaluation
     deterministic across runs.
     """
-    return _accuracy(params, _Workspace(params, x, classes=allowed_classes), y)
+    return _accuracy(params, _Workspace(params, x, classes=allowed_classes), _whole_numbers("y", y))
 
 
 def _accuracy(params: MlpParams, ws: _Workspace, y: np.ndarray) -> float:
@@ -394,8 +394,8 @@ def load_model(path) -> MlpParams:
     dims = struct.unpack_from(f"<{num_layers + 1}I", blob, head)
     if len(blob) != head + dims_size + 8 * sum(i * o + o for i, o in zip(dims, dims[1:])):
         raise ValueError(f"{path}: payload size mismatch")
-    if num_layers == 0:
-        raise ValueError(f"{path}: a model needs at least one layer")
+    if num_layers == 0 or 0 in dims:
+        raise ValueError(f"{path}: a model needs at least one layer, and widths of at least 1")
     return MlpParams._of(dims, np.frombuffer(blob, "<f8", offset=head + dims_size).astype(np.float64))
 
 

@@ -235,6 +235,19 @@ def test_select_entries_budget_exceeds_candidates():
 
 
 @pytest.mark.parametrize("sampler", SAMPLER_IDS)
+def test_select_entries_refuses_a_negative_budget(sampler):
+    g, tes = _toy_task()
+    with pytest.raises(ValueError, match="^cannot draw n=-2 from 12 candidates$"):
+        select_entries(sampler, g, tes, np.arange(12), -2, np.random.default_rng(0), 1)
+
+
+def test_nearest_centroid_refuses_a_negative_budget():
+    g, tes = _toy_task()
+    with pytest.raises(ValueError, match="^cannot draw n=-2 from 12 candidates$"):
+        sample_nearest_centroid(np.arange(12), tes.values, g.labels, -2)
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_IDS)
 def test_select_entries_refuses_rows_that_do_not_match_the_graph(sampler):
     g, _ = _toy_task(num_nodes=5)
     tes = TEMatrix(np.zeros((10, 3)))

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temcgl import graph as graph_module
+from temcgl.buffer import MemoryBuffer
+from temcgl.coverage import coverage_max_sample, coverage_ratio, singleton_coverage_table
 from temcgl.graph import (
     TEST,
     TRAIN,
@@ -25,6 +27,8 @@ from temcgl.graph import (
     normalize_adjacency,
     save_graph_files,
 )
+from temcgl.model import init_mlp, loss_and_grad, masked_accuracy
+from temcgl.propagation import PropagationStrategy, propagation_row, receptive_field, subnetwork_te
 from temcgl.rng import component_rng
 
 from helpers import (
@@ -156,6 +160,42 @@ def test_builders_refuse_values_that_are_not_whole_numbers():
     assert build_graph(3, [[0.0, 1.0]], labels=[0.0, 1.0, 1.0]).labels.tolist() == [0, 1, 1]
     assert induced_subgraph(g, [0.0, 1.0]).num_edges == 1
     assert adj.restrict([1.0, 2.0]).num_nodes == 2
+
+
+_TWO_ROWS = np.ones((2, 3))
+_POWER = PropagationStrategy("power", 1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda g, adj, p: MemoryBuffer().commit(1.5, _TWO_ROWS, [0, 1], [0, 1]), "^task_id must be an integer"),
+        (lambda g, adj, p: MemoryBuffer().commit(1, _TWO_ROWS, [0.7, 1.2], [0, 1]), "^label must be whole"),
+        (lambda g, adj, p: MemoryBuffer().commit(1, _TWO_ROWS, [0, 1], [0.3, 1.9]), "^node_id must be whole"),
+        (lambda g, adj, p: coverage_max_sample(g, [0.5, 3.9, 5.0], 1, 2, np.random.default_rng(0)),
+         "^candidates must be whole"),
+        (lambda g, adj, p: coverage_ratio(g, [0.5, 2.0], 1), "^nodes must be whole"),
+        (lambda g, adj, p: coverage_ratio(g, [0, 2], 1, universe=[0.5, 3.0]), "^universe must be whole"),
+        (lambda g, adj, p: singleton_coverage_table(g, [1.5], 1), "^candidates must be whole"),
+        (lambda g, adj, p: loss_and_grad(p, _TWO_ROWS, [0.5, 1.0]), "^y must be whole"),
+        (lambda g, adj, p: masked_accuracy(p, _TWO_ROWS, [0.5, 1.0], [0, 1]), "^y must be whole"),
+        (lambda g, adj, p: masked_accuracy(p, _TWO_ROWS, [0, 1], [0.5, 1.0]), "^allowed_classes must be whole"),
+        (lambda g, adj, p: receptive_field(g, 1.5, 1), "^v must be an integer"),
+        (lambda g, adj, p: subnetwork_te(adj, g.features, _POWER, v=1.5), "^v must be an integer"),
+        (lambda g, adj, p: propagation_row(adj, _POWER, 1.5), "^v must be an integer"),
+    ],
+    ids=[
+        "commit-task_id", "commit-label", "commit-node_id", "coverage_max_sample", "coverage_ratio-nodes",
+        "coverage_ratio-universe", "singleton_coverage_table", "loss_and_grad", "masked_accuracy-y",
+        "masked_accuracy-classes", "receptive_field", "subnetwork_te", "propagation_row",
+    ],
+)
+def test_entry_points_refuse_ids_that_are_not_whole_numbers(call, match):
+    # each of these once truncated the value (1.5 became 1) or failed inside numpy
+    g = build_graph(6, path_edges(6), features=np.ones((6, 3)))
+    params = init_mlp([3, 2], component_rng(0, "whole-numbers"))
+    with pytest.raises(ValueError, match=match):
+        call(g, normalize_adjacency(g, self_loops=True), params)
 
 
 def test_build_graph_refuses_split_codes_a_narrowing_cast_would_hide():

@@ -544,6 +544,10 @@ def test_model_checkpoint_round_trip(tmp_path):
     empty.write_bytes(path.read_bytes()[:8] + struct.pack("<II", 0, 5))  # no layers, width 5
     with pytest.raises(ValueError, match="at least one layer"):
         load_model(empty)
+    narrow = tmp_path / "narrow.bin"  # dims (4, 0, 3): 24 payload bytes, the last bias
+    narrow.write_bytes(path.read_bytes()[:8] + struct.pack("<4I", 2, 4, 0, 3) + bytes(24))
+    with pytest.raises(ValueError, match="narrow.bin: .*widths of at least 1"):
+        load_model(narrow)
 
 
 # ---------------------------------------------------------------------------
