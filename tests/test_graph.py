@@ -191,7 +191,7 @@ _POWER = PropagationStrategy("power", 1)
     ],
 )
 def test_entry_points_refuse_ids_that_are_not_whole_numbers(call, match):
-    # each of these once truncated the value (1.5 became 1) or failed inside numpy
+    # a fractional id, label or class is refused where it enters, never read as 1
     g = build_graph(6, path_edges(6), features=np.ones((6, 3)))
     params = init_mlp([3, 2], component_rng(0, "whole-numbers"))
     with pytest.raises(ValueError, match=match):
@@ -417,10 +417,11 @@ def test_spmm_reuses_one_scipy_matrix(monkeypatch):
     x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal(n)
     first = adj.spmm(x1)
     matrix = adj._csr
-    # it shares the operator's arrays instead of copying them
-    assert np.shares_memory(matrix.indices, adj.indices)
-    assert np.shares_memory(matrix.indptr, adj.indptr)
-    assert np.shares_memory(matrix.data, adj.values)
+    for op in (adj, normalize_adjacency(build_graph(n, edges), self_loops=False)):
+        # the matrix shares the operator's arrays instead of copying them
+        assert np.shares_memory(op._csr.indices, op.indices)
+        assert np.shares_memory(op._csr.indptr, op.indptr)
+        assert np.shares_memory(op._csr.data, op.values)
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("the scipy matrix was built again")
