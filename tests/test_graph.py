@@ -338,6 +338,18 @@ def test_induced_subgraph_peak_stays_near_its_result(sbm_4k):
     assert peak - held < 3 * entry_bytes
 
 
+def test_to_scipy_shares_the_operator_arrays(sbm_4k):
+    # `spmm`'s scipy matrix wraps the operator's arrays instead of copying them
+    g, _ = sbm_4k
+    for loops in (False, True):
+        adj = normalize_adjacency(g, self_loops=loops)
+        m = adj._csr
+        assert isinstance(m, sp.csr_array)
+        assert np.shares_memory(m.indices, adj.indices)
+        assert np.shares_memory(m.indptr, adj.indptr)
+        assert np.shares_memory(m.data, adj.values)
+
+
 # ---------------------------------------------------------------------------
 # symmetric normalisation
 # ---------------------------------------------------------------------------
@@ -417,11 +429,6 @@ def test_spmm_reuses_one_scipy_matrix(monkeypatch):
     x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal(n)
     first = adj.spmm(x1)
     matrix = adj._csr
-    for op in (adj, normalize_adjacency(build_graph(n, edges), self_loops=False)):
-        # the matrix shares the operator's arrays instead of copying them
-        assert np.shares_memory(op._csr.indices, op.indices)
-        assert np.shares_memory(op._csr.indptr, op.indptr)
-        assert np.shares_memory(op._csr.data, op.values)
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("the scipy matrix was built again")
