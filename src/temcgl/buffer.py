@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .coverage import coverage_max_sample
-from .graph import Graph, _as_int, _int_fields, _whole_numbers
+from .graph import Graph, _as_int, _int_fields, _node_ids, _whole_numbers
 from .propagation import TEMatrix
 
 SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
@@ -75,30 +75,17 @@ class BudgetPolicy:
 # ---------------------------------------------------------------------------
 
 
-def sample_uniform(candidates: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n distinct candidates, all subsets equally likely."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if n > len(candidates):
-        raise ValueError(f"cannot draw {n} from {len(candidates)} candidates")
-    return rng.choice(candidates, size=n, replace=False)
-
-
-def sample_nearest_centroid(
-    candidates: np.ndarray, tes_values: np.ndarray, labels: np.ndarray, n: int
-) -> np.ndarray:
+def _nearest_centroid(candidates: np.ndarray, tes_values: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
     """Per class, candidates closest to the class-mean embedding.
 
     Classes are visited round-robin in ascending label order; within a
     class, candidates rank by Euclidean distance to the centroid with node
     id breaking ties. Fully deterministic.
     """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if not 0 <= n <= len(candidates):
-        raise ValueError(f"cannot draw n={n} from {len(candidates)} candidates")
-    classes, cls = np.unique(np.asarray(labels)[candidates], return_inverse=True)
+    classes, cls = np.unique(labels[candidates], return_inverse=True)
     dist = np.empty(len(candidates))
     for k in range(len(classes)):
-        rows = np.asarray(tes_values)[candidates[cls == k]]
+        rows = tes_values[candidates[cls == k]]
         dist[cls == k] = np.linalg.norm(rows - rows.mean(axis=0), axis=1)
     # each candidate's rank inside its class, then rank-major over classes
     order = np.lexsort((candidates, dist, cls))
@@ -130,19 +117,17 @@ def select_entries(
         raise ValueError(f"unknown sampler {sampler_id!r}; pick one of {SAMPLER_IDS}")
     if tes.num_nodes != g.num_nodes:
         raise ValueError(f"{tes.num_nodes} embedding rows for a graph of {g.num_nodes} nodes")
-    candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = _node_ids("candidates", candidates, g.num_nodes)
     if len(np.unique(candidates)) != len(candidates):
         raise ValueError("candidates must be unique")
     if len(candidates) == 0:
         raise ValueError("no candidates to sample from")
-    if candidates.min() < 0 or candidates.max() >= g.num_nodes:
-        raise ValueError("candidate id out of range")
-    if not 0 <= n <= len(candidates):
+    if not 0 <= (n := _as_int("n", n)) <= len(candidates):
         raise ValueError(f"cannot draw n={n} from {len(candidates)} candidates")
-    if sampler_id == "uniform":
-        return sample_uniform(candidates, n, rng)
+    if sampler_id == "uniform":  # all n-subsets equally likely
+        return rng.choice(candidates, size=n, replace=False)
     if sampler_id == "centroid":
-        return sample_nearest_centroid(candidates, tes.values, g.labels, n)
+        return _nearest_centroid(candidates, tes.values, g.labels, n)
     if sampler_id == "coverage_max":
         return coverage_max_sample(g, candidates, hops=hops, budget=n, rng=rng, universe=candidates)
     return _reservoir_pass(candidates, n, rng)

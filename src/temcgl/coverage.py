@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, _reach, _whole_numbers
+from .graph import Graph, _as_int, _hop_count, _node_ids, _reach
 
 # Candidates whose balls are expanded together in one sparse product; bounds
 # the fill-in of the reachability block on dense graphs or large radii.
@@ -26,11 +26,9 @@ COVERAGE_BLOCK_ROWS = 1024
 def _universe_mask(g: Graph, universe: np.ndarray | None) -> np.ndarray:
     if universe is None:
         return np.ones(g.num_nodes, dtype=bool)
-    universe = _whole_numbers("universe", universe)
+    universe = _node_ids("universe", universe, g.num_nodes)
     if universe.size == 0:
         raise ValueError("coverage universe is empty")
-    if universe.min() < 0 or universe.max() >= g.num_nodes:
-        raise ValueError("universe node id out of range")
     mask = np.zeros(g.num_nodes, dtype=bool)
     mask[universe] = True
     return mask
@@ -38,30 +36,21 @@ def _universe_mask(g: Graph, universe: np.ndarray | None) -> np.ndarray:
 
 def coverage_ratio(g: Graph, nodes: np.ndarray, hops: int, universe: np.ndarray | None = None) -> float:
     """Fraction of the universe inside the joint receptive field of `nodes`."""
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
+    hops = _hop_count(hops)
     mask = _universe_mask(g, universe)
-    total = int(mask.sum())
-    nodes = _whole_numbers("nodes", nodes)
-    if nodes.size == 0:
-        return 0.0
-    if nodes.min() < 0 or nodes.max() >= g.num_nodes:
-        raise ValueError("node id out of range")
-    _, ball = _reach(g, nodes.ravel(), [0, nodes.size], hops)
-    return float(mask[ball].sum() / total)
+    nodes = _node_ids("nodes", nodes, g.num_nodes)
+    _, ball = _reach(g, nodes, [0, nodes.size], hops)
+    return float(mask[ball].sum() / mask.sum())
 
 
 def singleton_coverage_table(
     g: Graph, candidates: np.ndarray, hops: int, universe: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-candidate coverage ratios, aligned with `candidates`."""
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
+    hops = _hop_count(hops)
     mask = _universe_mask(g, universe)
     total = int(mask.sum())
-    candidates = _whole_numbers("candidates", candidates)
-    if len(candidates) and (candidates.min() < 0 or candidates.max() >= g.num_nodes):
-        raise ValueError("candidate node id out of range")
+    candidates = _node_ids("candidates", candidates, g.num_nodes)
     table = np.empty(len(candidates))
     for start in range(0, len(candidates), COVERAGE_BLOCK_ROWS):
         block = candidates[start : start + COVERAGE_BLOCK_ROWS]
@@ -82,9 +71,10 @@ def coverage_max_sample(
     """Draw `budget` distinct candidates, each with probability proportional
     to its singleton coverage among the not-yet-drawn ones.
     """
-    candidates = _whole_numbers("candidates", candidates)
+    candidates = _node_ids("candidates", candidates, g.num_nodes)
     if len(np.unique(candidates)) != len(candidates):
         raise ValueError("candidates must be unique")
+    budget = _as_int("budget", budget)
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if budget > len(candidates):

@@ -192,13 +192,33 @@ def _whole_numbers(name: str, values) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def _sorted_node_ids(nodes, num_nodes: int, caller: str, what: str) -> np.ndarray:
+def _node_ids(name: str, values, num_nodes: int) -> np.ndarray:
+    """`values` as 1-D int64, refusing any entry that is not a node id."""
+    ids = _whole_numbers(name, values)
+    if ids.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of node ids")
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_nodes):
+        raise ValueError(f"{name}: node id out of range for a graph of {num_nodes} nodes")
+    return ids
+
+
+def _node_id(name: str, value, num_nodes: int) -> int:
+    """`value` as an int, refusing anything but one node id."""
+    return int(_node_ids(name, [_as_int(name, value)], num_nodes)[0])
+
+
+def _hop_count(hops) -> int:
+    hops = _as_int("hops", hops)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    return hops
+
+
+def _sorted_node_ids(nodes, num_nodes: int, caller: str) -> np.ndarray:
     """`nodes` as int64 if they are sorted, unique, in-range node ids."""
-    nodes = _whole_numbers("nodes", nodes)
-    if nodes.ndim != 1 or len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
+    nodes = _node_ids("nodes", nodes, num_nodes)
+    if len(nodes) == 0 or np.any(np.diff(nodes) <= 0):
         raise ValueError(f"{caller} wants a sorted array of unique node ids")
-    if nodes[0] < 0 or nodes[-1] >= num_nodes:
-        raise ValueError(f"{what} out of range")
     return nodes
 
 
@@ -274,7 +294,7 @@ class NormalizedAdjacency:
         operator is what a node's receptive field needs to reproduce its
         full-graph embedding exactly.
         """
-        nodes = _sorted_node_ids(nodes, self.num_nodes, "restriction", "restriction node id")
+        nodes = _sorted_node_ids(nodes, self.num_nodes, "restriction")
         indptr, indices, keep = _slice_csr(self.indptr, self.indices, nodes)
         return NormalizedAdjacency(
             num_nodes=len(nodes),
@@ -341,7 +361,7 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     result are the subgraph's own — normalising it does not reuse parent
     weights (contrast `NormalizedAdjacency.restrict`).
     """
-    nodes = _sorted_node_ids(nodes, g.num_nodes, "induced_subgraph", "node id")
+    nodes = _sorted_node_ids(nodes, g.num_nodes, "induced_subgraph")
     indptr, indices, _ = _slice_csr(g.indptr, g.indices, nodes)
     return Graph(len(nodes), indptr, indices, g.features[nodes], g.labels[nodes], g.split[nodes])
 
@@ -450,8 +470,8 @@ def generate_sbm(
             raise ValueError(f"{name} must lie in [0, 1]")
     if _as_int("feature_dim", feature_dim) < 1:
         raise ValueError("feature_dim must be >= 1")
-    if feature_shift < 0:
-        raise ValueError("feature_shift must be >= 0")
+    if not np.isfinite(feature_shift) or feature_shift < 0:
+        raise ValueError(f"feature_shift must be finite and >= 0, got {feature_shift}")
 
     num_classes = len(sizes)
     n = sum(sizes)

@@ -74,7 +74,7 @@ def build_task_sequence(g: Graph, classes_per_task: int) -> list[TaskSpec]:
     node, otherwise its accuracy is undefined.
     """
     num_classes = g.num_classes
-    if classes_per_task < 1:
+    if (classes_per_task := _as_int("classes_per_task", classes_per_task)) < 1:
         raise ValueError("classes_per_task must be >= 1")
     if classes_per_task > num_classes:
         raise ValueError(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import NormalizedAdjacency, _whole_numbers
+from .graph import NormalizedAdjacency, _as_int, _node_id, _whole_numbers
 from .propagation import PropagationStrategy, propagation_row
 
 MODEL_MAGIC = b"TEMM"
@@ -79,7 +79,7 @@ class MlpParams:
 
 def init_mlp(layer_dims, rng: np.random.Generator) -> MlpParams:
     """Uniform +-1/sqrt(fan_in) init for every weight and bias."""
-    dims = [int(d) for d in layer_dims]
+    dims = [_as_int("layer_dims", d) for d in layer_dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("layer_dims needs at least [input, output], all positive")
     weights, biases = [], []
@@ -449,14 +449,13 @@ def pseudo_gradient_check(
         raise ValueError("features must be (num_nodes, dim)")
     if w.ndim != 2 or w.shape[0] != x.shape[1]:
         raise ValueError("weights must be (feature_dim, classes)")
-    if not 0 <= node < adj.num_nodes:
-        raise ValueError(f"node {node} out of range")
-    if not 0 <= target_class < w.shape[1]:
-        raise ValueError(f"target_class {target_class} out of range")
+    node = _node_id("node", node, adj.num_nodes)
+    k = _as_int("target_class", target_class)
+    if not 0 <= k < w.shape[1]:
+        raise ValueError(f"target_class {k} out of range")
     if not np.isfinite(corrupt) or corrupt < 0:
         raise ValueError(f"corrupt must be finite and >= 0, got {corrupt}")
 
-    k = target_class
     pi = propagation_row(adj, strategy, node)
     te = pi @ x
     z_v = te @ w

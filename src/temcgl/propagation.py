@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, NormalizedAdjacency, _as_int, _int_fields, _reach
+from .graph import Graph, NormalizedAdjacency, _hop_count, _int_fields, _node_id, _reach
 from .rng import component_rng
 
 LINEAR_VARIANTS = ("power", "hop_average", "lazy_power")
@@ -211,9 +211,7 @@ def propagation_row(adj: NormalizedAdjacency, strategy: PropagationStrategy, v: 
     """
     if not strategy.is_linear:
         raise ValueError("propagation_row is defined for linear strategies only")
-    v = _as_int("v", v)
-    if not 0 <= v < adj.num_nodes:
-        raise ValueError(f"node {v} out of range")
+    v = _node_id("v", v, adj.num_nodes)
     indicator = np.zeros((adj.num_nodes, 1))
     indicator[v, 0] = 1.0
     return _propagate_linear(adj, indicator, strategy)[:, 0]
@@ -230,12 +228,8 @@ def receptive_field(g: Graph | NormalizedAdjacency, v: int, hops: int) -> np.nda
     This is the closed `hops`-ball around v (v included). `g` may be a
     `Graph` or a `NormalizedAdjacency`; only the CSR structure is read.
     """
-    v = _as_int("v", v)
-    if not 0 <= v < g.num_nodes:
-        raise ValueError(f"node {v} out of range")
-    if hops < 0:
-        raise ValueError("hops must be >= 0")
-    return np.sort(_reach(g, [v], [0, 1], hops)[1]).astype(np.int64)
+    v = _node_id("v", v, g.num_nodes)
+    return np.sort(_reach(g, [v], [0, 1], _hop_count(hops))[1]).astype(np.int64)
 
 
 def subnetwork_te(adj: NormalizedAdjacency, features: np.ndarray, strategy: PropagationStrategy, v: int) -> np.ndarray:

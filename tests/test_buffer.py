@@ -11,10 +11,9 @@ from temcgl.buffer import (
     SAMPLER_IDS,
     BudgetPolicy,
     MemoryBuffer,
+    _nearest_centroid,
     _reservoir_pass,
     load_buffer,
-    sample_nearest_centroid,
-    sample_uniform,
     save_buffer,
     select_entries,
     serialize_buffer,
@@ -84,16 +83,15 @@ def test_budget_policy_resolution():
 
 
 def test_sample_uniform_contract():
+    g, tes = _toy_task(num_nodes=30)
     candidates = np.arange(10, 30)
-    picks = sample_uniform(candidates, 5, np.random.default_rng(3))
+    picks = select_entries("uniform", g, tes, candidates, 5, np.random.default_rng(3), 1)
     assert len(picks) == 5 and len(set(picks.tolist())) == 5
     assert set(picks.tolist()) <= set(candidates.tolist())
-    again = sample_uniform(candidates, 5, np.random.default_rng(3))
+    again = select_entries("uniform", g, tes, candidates, 5, np.random.default_rng(3), 1)
     np.testing.assert_array_equal(picks, again)
-    everyone = sample_uniform(candidates, 20, np.random.default_rng(0))
+    everyone = select_entries("uniform", g, tes, candidates, 20, np.random.default_rng(0), 1)
     assert sorted(everyone.tolist()) == candidates.tolist()
-    with pytest.raises(ValueError):
-        sample_uniform(candidates, 21, np.random.default_rng(0))
 
 
 def test_nearest_centroid_single_class_ranking():
@@ -102,14 +100,14 @@ def test_nearest_centroid_single_class_ranking():
     labels = np.zeros(14, dtype=np.int64)
     candidates = np.array([10, 11, 12, 13])
     # centroid is 4.0; distance ranking: 13 (1), 12 (3), 10 (4), 11 (6)
-    picks = sample_nearest_centroid(candidates, tes, labels, 2)
+    picks = _nearest_centroid(candidates, tes, labels, 2)
     assert picks.tolist() == [13, 12]
 
 
 def test_nearest_centroid_tie_breaks_by_node_id():
     tes = np.ones((10, 2))
     labels = np.zeros(10, dtype=np.int64)
-    picks = sample_nearest_centroid(np.array([5, 3, 9]), tes, labels, 2)
+    picks = _nearest_centroid(np.array([5, 3, 9]), tes, labels, 2)
     assert picks.tolist() == [3, 5]
 
 
@@ -119,18 +117,19 @@ def test_nearest_centroid_round_robin_over_classes():
     candidates = np.array([0, 1, 2, 3])
     # class 0 centroid 1.0 -> ranks [0 (d=1), 1 (d=1, higher id)] ties by id;
     # class 1 centroid 10.5 -> ranks [2, 3] ties by id.
-    picks = sample_nearest_centroid(candidates, tes, labels, 3)
+    picks = _nearest_centroid(candidates, tes, labels, 3)
     assert picks.tolist() == [0, 2, 1]
 
 
 def test_nearest_centroid_handles_exhausted_classes():
     tes = np.arange(6, dtype=float).reshape(6, 1)
     labels = np.array([0, 1, 1, 1, 1, 1])
-    picks = sample_nearest_centroid(np.arange(6), tes, labels, 4)
+    picks = _nearest_centroid(np.arange(6), tes, labels, 4)
     assert picks[0] == 0  # class 0's only member leads round one
     assert len(picks) == 4 and len(set(picks.tolist())) == 4
-    with pytest.raises(ValueError):
-        sample_nearest_centroid(np.arange(6), tes, labels, 7)
+    g = build_graph(6, np.empty((0, 2)), features=tes, labels=labels)
+    with pytest.raises(ValueError, match="^cannot draw n=7 from 6 candidates$"):
+        select_entries("centroid", g, TEMatrix(tes), np.arange(6), 7, np.random.default_rng(0), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +146,7 @@ def test_nearest_centroid_matches_the_round_robin_oracle(seed, dim, coarse):
     labels = 3 * rng.integers(0, int(rng.integers(1, 6)), size=num_nodes)
     candidates = rng.permutation(num_nodes)[: int(rng.integers(0, num_nodes + 1))]
     for n in range(len(candidates) + 1):
-        got = sample_nearest_centroid(candidates, tes, labels, n)
+        got = _nearest_centroid(candidates, tes, labels, n)
         want = oracle_nearest_centroid(candidates, tes, labels, n)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
@@ -228,10 +227,11 @@ def test_select_entries_all_samplers_run():
         np.testing.assert_array_equal(buf.label, g.labels[selected])
 
 
-def test_select_entries_budget_exceeds_candidates():
+@pytest.mark.parametrize("sampler", SAMPLER_IDS)
+def test_select_entries_budget_exceeds_candidates(sampler):
     g, tes = _toy_task()
-    with pytest.raises(ValueError):
-        select_entries("uniform", g, tes, np.arange(5), 50, np.random.default_rng(0), 2)
+    with pytest.raises(ValueError, match="^cannot draw n=50 from 5 candidates$"):
+        select_entries(sampler, g, tes, np.arange(5), 50, np.random.default_rng(0), 2)
 
 
 @pytest.mark.parametrize("sampler", SAMPLER_IDS)
@@ -239,12 +239,6 @@ def test_select_entries_refuses_a_negative_budget(sampler):
     g, tes = _toy_task()
     with pytest.raises(ValueError, match="^cannot draw n=-2 from 12 candidates$"):
         select_entries(sampler, g, tes, np.arange(12), -2, np.random.default_rng(0), 1)
-
-
-def test_nearest_centroid_refuses_a_negative_budget():
-    g, tes = _toy_task()
-    with pytest.raises(ValueError, match="^cannot draw n=-2 from 12 candidates$"):
-        sample_nearest_centroid(np.arange(12), tes.values, g.labels, -2)
 
 
 @pytest.mark.parametrize("sampler", SAMPLER_IDS)

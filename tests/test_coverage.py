@@ -105,7 +105,7 @@ def test_coverage_ratio_matches_set_bfs(seed: int, hops: int, with_universe: boo
 def test_singleton_table_rejects_out_of_range_candidates():
     g = build_graph(4, path_edges(4))
     for bad in ([0, 4], [-1]):
-        with pytest.raises(ValueError, match="candidate node id out of range"):
+        with pytest.raises(ValueError, match="^candidates: node id out of range for a graph of 4 nodes$"):
             singleton_coverage_table(g, np.array(bad), hops=1)
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from temcgl import graph as graph_module
-from temcgl.buffer import MemoryBuffer
+from temcgl.buffer import MemoryBuffer, select_entries
 from temcgl.coverage import coverage_max_sample, coverage_ratio, singleton_coverage_table
 from temcgl.graph import (
     TEST,
@@ -27,8 +27,9 @@ from temcgl.graph import (
     normalize_adjacency,
     save_graph_files,
 )
-from temcgl.model import init_mlp, loss_and_grad, masked_accuracy
-from temcgl.propagation import PropagationStrategy, propagation_row, receptive_field, subnetwork_te
+from temcgl.harness import build_task_sequence
+from temcgl.model import init_mlp, loss_and_grad, masked_accuracy, pseudo_gradient_check
+from temcgl.propagation import PropagationStrategy, TEMatrix, propagation_row, receptive_field, subnetwork_te
 from temcgl.rng import component_rng
 
 from helpers import (
@@ -166,6 +167,14 @@ _TWO_ROWS = np.ones((2, 3))
 _POWER = PropagationStrategy("power", 1)
 
 
+def _select(g, candidates, n):
+    return select_entries("uniform", g, TEMatrix(g.features), candidates, n, np.random.default_rng(0), 1)
+
+
+def _pseudo_gradient(adj, node, target_class):
+    return pseudo_gradient_check(adj, np.ones((6, 3)), np.ones((3, 2)), node, _POWER, target_class)
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -183,11 +192,29 @@ _POWER = PropagationStrategy("power", 1)
         (lambda g, adj, p: receptive_field(g, 1.5, 1), "^v must be an integer"),
         (lambda g, adj, p: subnetwork_te(adj, g.features, _POWER, v=1.5), "^v must be an integer"),
         (lambda g, adj, p: propagation_row(adj, _POWER, 1.5), "^v must be an integer"),
+        (lambda g, adj, p: _select(g, [0.5, 1.7, 2.0], 2), "^candidates must be whole"),
+        (lambda g, adj, p: _select(g, [[0, 1], [2, 3]], 2), "^candidates must be a 1-D array of node ids$"),
+        (lambda g, adj, p: _select(g, [0, 1, 2], 1.5), "^n must be an integer"),
+        (lambda g, adj, p: coverage_ratio(g, [0, 2], 1.5), "^hops must be an integer"),
+        (lambda g, adj, p: singleton_coverage_table(g, [1], 1.5), "^hops must be an integer"),
+        (lambda g, adj, p: coverage_max_sample(g, [0, 3], 1.5, 1, np.random.default_rng(0)),
+         "^hops must be an integer"),
+        (lambda g, adj, p: coverage_max_sample(g, [0, 3], 1, 1.5, np.random.default_rng(0)),
+         "^budget must be an integer"),
+        (lambda g, adj, p: receptive_field(g, 1, 1.5), "^hops must be an integer"),
+        (lambda g, adj, p: _pseudo_gradient(adj, 1.5, 0), "^node must be an integer"),
+        (lambda g, adj, p: _pseudo_gradient(adj, 1, 1.5), "^target_class must be an integer"),
+        (lambda g, adj, p: init_mlp([3, 2.5], np.random.default_rng(0)), "^layer_dims must be an integer"),
+        (lambda g, adj, p: build_task_sequence(g, 1.5), "^classes_per_task must be an integer"),
     ],
     ids=[
         "commit-task_id", "commit-label", "commit-node_id", "coverage_max_sample", "coverage_ratio-nodes",
         "coverage_ratio-universe", "singleton_coverage_table", "loss_and_grad", "masked_accuracy-y",
         "masked_accuracy-classes", "receptive_field", "subnetwork_te", "propagation_row",
+        "select_entries-candidates", "select_entries-2d-candidates", "select_entries-n", "coverage_ratio-hops",
+        "singleton_coverage_table-hops", "coverage_max_sample-hops", "coverage_max_sample-budget",
+        "receptive_field-hops", "pseudo_gradient_check-node", "pseudo_gradient_check-target_class",
+        "init_mlp", "build_task_sequence",
     ],
 )
 def test_entry_points_refuse_ids_that_are_not_whole_numbers(call, match):
@@ -637,6 +664,10 @@ def test_sbm_rejects_bad_params():
         generate_sbm((2.7, 3), p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=1.0, seed=0)
     with pytest.raises(ValueError, match="feature_dim"):
         generate_sbm((5, 5), p_in=0.5, p_out=0.1, feature_dim=2.5, feature_shift=1.0, seed=0)
+    # refused up front, not later as non-finite features that name no argument
+    for shift in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^feature_shift must be finite and >= 0"):
+            generate_sbm((5, 5), p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=shift, seed=0)
 
 
 _SBM_CASES = [
