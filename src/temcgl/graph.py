@@ -32,7 +32,7 @@ import hashlib
 import logging
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,7 +148,24 @@ def build_graph(
     zero, and an all-train split. Edge endpoints, labels and split codes
     must be whole numbers.
     """
-    edges = _whole_numbers("edges", edges).reshape(-1, 2)
+    if (num_nodes := _as_int("num_nodes", num_nodes)) < 1:
+        raise ValueError("graph needs at least one node")
+    indptr, indices = _edge_csr(num_nodes, _whole_numbers("edges", edges).reshape(-1, 2))
+    if features is None:
+        features = np.zeros((num_nodes, 1))
+    features = np.asarray(features, dtype=np.float64)
+    if labels is None:
+        labels = np.zeros(num_nodes, dtype=np.int64)
+    labels = _whole_numbers("labels", labels)
+    split = _whole_numbers("split", np.full(num_nodes, TRAIN) if split is None else split)
+    # checked before the narrowing cast, which would turn 256 into TRAIN
+    if not np.all(np.isin(split, (TRAIN, VALID, TEST))):
+        raise ValueError("split codes must be train/valid/test")
+    return Graph(num_nodes, indptr, indices, features, labels, split.astype(np.int8))
+
+
+def _edge_csr(num_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`build_graph`'s sorted ``(indptr, indices)`` of an int64 ``(m, 2)`` edge array."""
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
     u, v = edges[edges[:, 0] != edges[:, 1]].T
@@ -167,19 +184,7 @@ def build_graph(
     key //= num_nodes  # each entry's row
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=num_nodes), out=indptr[1:])
-    del key  # `Graph` validates without it
-
-    if features is None:
-        features = np.zeros((num_nodes, 1))
-    features = np.asarray(features, dtype=np.float64)
-    if labels is None:
-        labels = np.zeros(num_nodes, dtype=np.int64)
-    labels = _whole_numbers("labels", labels)
-    split = _whole_numbers("split", np.full(num_nodes, TRAIN) if split is None else split)
-    # checked before the narrowing cast, which would turn 256 into TRAIN
-    if not np.all(np.isin(split, (TRAIN, VALID, TEST))):
-        raise ValueError("split codes must be train/valid/test")
-    return Graph(num_nodes, indptr, indices, features, labels, split.astype(np.int8))
+    return indptr, indices  # `Graph` validates without the keys
 
 
 def _whole_numbers(name: str, values) -> np.ndarray:
@@ -522,6 +527,9 @@ def generate_sbm(
 # feature value or label, 16 an edge and 1 a split row: about 0.4 x the size
 # of a full-precision features text, plus the edges. One entry per file is
 # kept, replaced when the file changes. Deleting the directory clears it.
+# Hashing the features file is most of a cached load: a worker thread does it
+# while the calling thread loads the other three files, builds the CSR arrays
+# and reads the features entry, then compares the key and parses on a miss.
 
 CACHE_DIR = ".temcgl-cache"
 # Part of every cache key: change it whenever a parser's output changes.
@@ -581,29 +589,37 @@ def _file_version(path: Path) -> tuple[int, int, int]:
     return st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def _cached_parse(path, parse, dtype, ndim: int) -> np.ndarray:
-    """`parse(path)`, or the array an earlier parse of the same bytes cached.
-
-    A cached array must have `dtype` and `ndim`, which also tells apart the
-    four parsers; anything else, or an unreadable entry, is parsed again. A
-    cache entry that cannot be written only costs the next load a parse.
-    """
-    path = Path(path)
+def _parse_key(path) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The file's version, taken first, and its cache key: the SHA-256 of
+    PARSE_VERSION and the file's bytes, read through one reused buffer."""
     before = _file_version(path)
     digest = hashlib.sha256(PARSE_VERSION)
+    chunk = memoryview(bytearray(1 << 20))
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    key = np.frombuffer(digest.digest(), dtype=np.uint8)
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
+    return before, np.frombuffer(digest.digest(), dtype=np.uint8)
+
+
+def _cached_parse(path, parse, dtype, ndim: int, keyed: Future | None = None) -> np.ndarray:
+    """`parse(path)`, or the array an earlier parse of the same bytes cached.
+
+    The entry is read before the key is asked for, so a `keyed` future of
+    `_parse_key(path)` hashes meanwhile. A cached array must have `dtype` and
+    `ndim`, which also tells apart the four parsers; anything else, or an
+    unreadable entry, is parsed again. A cache entry that cannot be written
+    only costs the next load a parse.
+    """
+    path = Path(path)
     entry = path.parent / CACHE_DIR / (path.name + ".npy")
     try:
         with open(entry, "rb") as fh:
-            if np.array_equal(npformat.read_array(fh, allow_pickle=False), key):
-                data = npformat.read_array(fh, allow_pickle=False)
-                if data.dtype == dtype and data.ndim == ndim:
-                    return data
+            stored, data = (npformat.read_array(fh, allow_pickle=False) for _ in range(2))
     except (OSError, ValueError):
-        pass
+        stored = data = None
+    before, key = keyed.result() if keyed is not None else _parse_key(path)
+    if np.array_equal(stored, key) and data.dtype == dtype and data.ndim == ndim:
+        return data
     data = parse(path)
     if _file_version(path) != before:  # edited since hashed: the key may not match
         return data
@@ -627,12 +643,25 @@ def _cached_parse(path, parse, dtype, ndim: int) -> np.ndarray:
 def load_graph_files(edges_path, features_path, labels_path, split_path) -> Graph:
     """Assemble a graph from the four text files, cross-checking lengths.
 
-    Each file is parsed through the cache described above the text parsers.
+    Files go through the cache described above the text parsers: a worker
+    thread hashes the features file while this thread does the rest. Errors
+    come as from a load in the order features, labels, split, edges.
     """
-    features = _cached_parse(features_path, _load_features, np.float64, 2)
-    labels = _cached_parse(labels_path, _load_labels, np.int64, 1)
-    split = _cached_parse(split_path, load_split_file, np.int8, 1)
-    edges = _cached_parse(edges_path, load_edge_list, np.int64, 2)
+    csr = failure = None
+    with ThreadPoolExecutor(1) as pool:
+        features_key = pool.submit(_parse_key, features_path)
+        try:
+            labels = _cached_parse(labels_path, _load_labels, np.int64, 1)
+            split = _cached_parse(split_path, load_split_file, np.int8, 1)
+            edges = _cached_parse(edges_path, load_edge_list, np.int64, 2)
+        except Exception as exc:  # raised after the features file's own errors
+            failure = exc
+        else:
+            with contextlib.suppress(ValueError):  # an id out of range: reported below
+                csr = _edge_csr(len(labels), edges)
+        features = _cached_parse(features_path, _load_features, np.float64, 2, features_key)
+    if failure is not None:
+        raise failure
     n = features.shape[0]
     if labels.shape[0] != n:
         raise ValueError(f"{labels_path}: {labels.shape[0]} labels for {n} feature rows")
@@ -640,7 +669,8 @@ def load_graph_files(edges_path, features_path, labels_path, split_path) -> Grap
         raise ValueError(f"{split_path}: {split.shape[0]} split rows for {n} feature rows")
     if len(edges) and edges.max() >= n:
         raise ValueError(f"{edges_path}: node id {edges.max()} out of range for {n} nodes")
-    return build_graph(n, edges, features=features, labels=labels, split=split)
+    # the parsers' dtypes and split codes are the ones `build_graph` would make
+    return Graph(n, *(csr or _edge_csr(n, edges)), features, labels, split)
 
 
 def save_graph_files(g: Graph, directory) -> dict[str, Path]:

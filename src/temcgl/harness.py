@@ -106,6 +106,8 @@ def visible_nodes(
     """
     if inter_task_edges not in EDGE_POLICIES:
         raise ValueError(f"unknown inter_task_edges policy {inter_task_edges!r}")
+    if not 0 <= (upto_task := _as_int("upto_task", upto_task)) < len(tasks):
+        raise ValueError(f"upto_task must lie in [0, {len(tasks)}), got {upto_task}")
     if inter_task_edges == "keep_seen":
         classes = [c for t in tasks[: upto_task + 1] for c in t.classes]
     else:

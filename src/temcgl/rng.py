@@ -9,6 +9,7 @@ on any machine.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -16,10 +17,14 @@ _MASK64 = (1 << 64) - 1
 
 
 def component_seed_words(seed: int, label: str) -> list[int]:
-    """Entropy words for ``numpy.random.SeedSequence`` from a seed + label."""
+    """Entropy words for ``numpy.random.SeedSequence`` from an integer seed + label."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8)]
-    return [int(seed) & _MASK64, *words]
+    return [seed & _MASK64, *words]
 
 
 def component_rng(seed: int, label: str) -> np.random.Generator:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import shutil
 import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib import format as npformat
 
 from temcgl import graph as graph_module
 from temcgl.buffer import MemoryBuffer, select_entries
@@ -30,7 +35,7 @@ from temcgl.graph import (
 from temcgl.harness import build_task_sequence
 from temcgl.model import init_mlp, loss_and_grad, masked_accuracy, pseudo_gradient_check
 from temcgl.propagation import PropagationStrategy, TEMatrix, propagation_row, receptive_field, subnetwork_te
-from temcgl.rng import component_rng
+from temcgl.rng import component_rng, component_seed_words
 
 from helpers import (
     ball_oracle,
@@ -238,6 +243,17 @@ def test_build_graph_refuses_split_codes_a_narrowing_cast_would_hide():
     assert g.split.dtype == np.int8 and g.split.tolist() == [2, 1, 0]
     g = build_graph(3, [[0, 1]], split=np.array([1, 2, 0], dtype=np.int64))
     assert g.split.dtype == np.int8 and g.split.tolist() == [1, 2, 0]
+
+
+def test_build_graph_refuses_a_node_count_that_is_not_a_positive_integer():
+    # numpy's UFuncTypeError and "'minlength' must not be negative" used to answer these
+    with pytest.raises(ValueError, match="^num_nodes must be an integer, got 2.5$"):
+        build_graph(2.5, [[0, 1]])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^graph needs at least one node$"):
+            build_graph(n, [])
+    g = build_graph(np.int32(2), [[0, 1]])
+    assert g.num_nodes == 2 and type(g.num_nodes) is int
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +686,20 @@ def test_sbm_rejects_bad_params():
             generate_sbm((5, 5), p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=shift, seed=0)
 
 
+def test_sbm_refuses_a_seed_that_is_not_an_integer():
+    # seed=1.5 used to be truncated to seed 1's graph
+    args = dict(p_in=0.5, p_out=0.1, feature_dim=2, feature_shift=1.0)
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            generate_sbm((5, 5), seed=seed, **args)
+    one = generate_sbm((5, 5), seed=1, **args)
+    for same in (np.int64(1), np.uint8(1)):
+        _assert_same_graph(generate_sbm((5, 5), seed=same, **args), one)
+    # integer seeds keep their 64-bit two's-complement word
+    for seed, word in ((-1, (1 << 64) - 1), (np.int64(-5), (1 << 64) - 5), ((1 << 64) + 3, 3)):
+        assert component_seed_words(seed, "sbm-edges")[0] == word
+
+
 _SBM_CASES = [
     # uneven and size-1 blocks; the second has 28 135 cells, enough for three
     # workers of 4096-cell bands
@@ -900,3 +930,149 @@ def test_parse_cache_tells_the_parsers_apart(tmp_path, monkeypatch):
         np.testing.assert_array_equal(back.features[:, 0], g.labels)
         np.testing.assert_array_equal(back.labels, g.labels)
     assert parses["labels.txt"] == 4
+
+
+def test_parse_key_is_the_digest_of_the_version_and_the_bytes(tmp_path):
+    # pinned: every cache entry written so far carries this key for these bytes
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"0\n1\n")
+    _, key = graph_module._parse_key(path)
+    assert key.dtype == np.uint8
+    assert key.tobytes().hex() == "be0e9157278bae14f0cf0983e7a7f84bed2edeae14d6e751ca69022e407fc71f"
+    # a file of several read chunks hashes like its whole bytes at once
+    blob = np.random.default_rng(0).bytes((5 << 19) + 7)
+    path.write_bytes(blob)
+    _, key = graph_module._parse_key(path)
+    assert key.tobytes() == hashlib.sha256(graph_module.PARSE_VERSION + blob).digest()
+
+
+_PARSERS = {
+    "edges": graph_module.load_edge_list,
+    "features": graph_module._load_features,
+    "labels": graph_module._load_labels,
+    "split": graph_module.load_split_file,
+}
+
+
+def test_parse_cache_reads_and_writes_entries_in_their_one_layout(graph_files, monkeypatch):
+    # An entry is the key's uint8 array, then the parsed array, each in .npy
+    # format. Entries made by hand that way load with no parse, and a cold
+    # load writes the same bytes.
+    cache = graph_files["features"].parent / graph_module.CACHE_DIR
+    cache.mkdir()
+    made = {}
+    for kind, path in graph_files.items():
+        digest = hashlib.sha256(graph_module.PARSE_VERSION + path.read_bytes()).digest()
+        entry = cache / f"{path.name}.npy"
+        with open(entry, "wb") as fh:
+            npformat.write_array(fh, np.frombuffer(digest, dtype=np.uint8))
+            npformat.write_array(fh, _PARSERS[kind](path), allow_pickle=False)
+        made[entry.name] = entry.read_bytes()
+    parses = count_parses(monkeypatch)
+    warm = _load(graph_files)
+    assert not parses
+    shutil.rmtree(cache)
+    _assert_same_graph(_load(graph_files), warm)
+    assert sorted(parses.values()) == [1, 1, 1, 1]
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == made
+
+
+@pytest.mark.parametrize("edits,error,message,culprit", [
+    # a ragged features file wins over a bad labels file, as when the
+    # features were loaded first
+    ({"features": "0.5 1.0\n1.5\n", "labels": "0\nx\n"}, ValueError, "number of columns changed", "features"),
+    ({"features": None, "labels": "0\nx\n"}, FileNotFoundError, "No such file", None),
+    ({"labels": "0\nx\n", "edges": "0 1\n1 x\n"}, ValueError, "could not convert", "labels"),
+    ({"split": "train\nnope\n", "edges": "0 x\n"}, ValueError, "unknown split token", "split"),
+    # the count checks come before the edge ids
+    ({"labels": "0\n" * 24, "edges": "0 -1\n"}, ValueError, "24 labels for 25 feature rows", "labels"),
+    ({"split": "train\n" * 26, "edges": "0 25\n"}, ValueError, "26 split rows for 25 feature rows", "split"),
+    ({"edges": "0 25\n3 -1\n"}, ValueError, "node id 25 out of range for 25 nodes", "edges"),
+    ({"edges": "0 1\n3 -1\n"}, ValueError, "^edge endpoint out of range$", None),
+], ids=["features-labels", "no-features", "labels-edges", "split-edges",
+        "label-count", "split-count", "edge-id", "negative-id"])
+def test_load_reports_the_first_bad_file_in_load_order(graph_files, edits, error, message, culprit):
+    for kind, text in edits.items():
+        if text is None:
+            graph_files[kind].unlink()
+        else:
+            graph_files[kind].write_text(text)
+    with pytest.raises(error, match=message) as info:
+        _load(graph_files)
+    if culprit is not None:
+        assert str(info.value).startswith(str(graph_files[culprit]))
+
+
+def test_parse_cache_skips_a_features_file_edited_while_hashed(graph_files, monkeypatch):
+    key = graph_module._parse_key
+
+    def key_then_edit(path):
+        found = key(path)
+        if Path(path).name == "features.txt":
+            with open(path, "a") as fh:
+                fh.write("# edited\n")
+        return found
+
+    expected = _load(graph_files)
+    shutil.rmtree(graph_files["features"].parent / graph_module.CACHE_DIR)
+    monkeypatch.setattr(graph_module, "_parse_key", key_then_edit)
+    _assert_same_graph(_load(graph_files), expected)
+    cache = graph_files["features"].parent / graph_module.CACHE_DIR
+    assert not (cache / "features.txt.npy").exists()
+    assert (cache / "labels.txt.npy").exists()
+
+
+def test_load_leaves_no_thread_behind(graph_files, monkeypatch):
+    before = threading.enumerate()
+    _load(graph_files)  # cold
+    _load(graph_files)  # cached
+    assert threading.enumerate() == before
+
+    def refuse(num_nodes, edges):
+        raise RuntimeError("calling thread fails while the features are hashed")
+
+    monkeypatch.setattr(graph_module, "_edge_csr", refuse)
+    with pytest.raises(RuntimeError, match="calling thread fails"):
+        _load(graph_files)
+    assert threading.enumerate() == before
+    monkeypatch.undo()
+    graph_files["labels"].write_text("0\nx\n")
+    with pytest.raises(ValueError, match="could not convert"):
+        _load(graph_files)
+    assert threading.enumerate() == before
+    graph_files["features"].unlink()
+    with pytest.raises(FileNotFoundError):
+        _load(graph_files)
+    assert threading.enumerate() == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(lambda k: st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=25)),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+@example([], 0, 0)  # an empty edge file: one isolated node
+@example([(0, 1), (1, 0), (0, 1), (2, 2), (1, 2)], 2, 1)  # duplicate, reversed, looped; two trailing isolated
+def test_load_graph_files_matches_build_graph(pairs, isolated, seed):
+    # `build_graph` on the arrays written is the oracle, cold and cached
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    n = (int(edges.max()) + 1 if len(edges) else 1) + isolated
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, 3))
+    labels = rng.integers(0, 4, n)
+    split = rng.integers(0, 3, n).astype(np.int8)
+    expected = build_graph(n, edges, features=features, labels=labels, split=split)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: Path(tmp) / f"{kind}.txt" for kind in ("edges", "features", "labels", "split")}
+        np.savetxt(paths["edges"], edges, fmt="%d")
+        np.savetxt(paths["features"], features, fmt="%.17g")
+        np.savetxt(paths["labels"], labels, fmt="%d")
+        graph_module.save_split_file(split, paths["split"])
+        if len(edges):
+            cold = _load(paths)
+        else:
+            with pytest.warns(UserWarning, match="input contained no data"):
+                cold = _load(paths)
+        for g in (cold, _load(paths)):
+            _assert_same_graph(g, expected)

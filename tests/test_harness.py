@@ -118,6 +118,19 @@ def test_visible_nodes_modes():
     assert np.all(np.diff(keep) > 0) and np.all(np.diff(drop) > 0)
 
 
+def test_visible_nodes_refuses_a_task_outside_the_sequence():
+    # 9 used to reveal every node, -1 none, and 1.5 failed inside a slice
+    g = _sbm(classes=6)
+    tasks = build_task_sequence(g, classes_per_task=2)
+    for policy in ("keep_seen", "drop_all"):
+        for bad in (3, 9, -1):
+            with pytest.raises(ValueError, match=rf"^upto_task must lie in \[0, 3\), got {bad}$"):
+                visible_nodes(g, tasks, bad, policy)
+        with pytest.raises(ValueError, match="^upto_task must be an integer, got 1.5$"):
+            visible_nodes(g, tasks, 1.5, policy)
+    np.testing.assert_array_equal(visible_nodes(g, tasks, np.int64(2), "keep_seen"), np.arange(g.num_nodes))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Every module of the package uses each name it imports, every private
 module-level name is referenced somewhere in the package, every public
 module-level function and class is exported or used elsewhere in the
-package, only `model.py` names the head's private workspace, and every
-public function and class has a docstring (a dataclass's generated
-signature is not one).
+package, only `model.py` names the head's private workspace, every
+executor pool is opened by a `with` statement, and every public function
+and class has a docstring (a dataclass's generated signature is not one).
 
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.
@@ -138,6 +138,47 @@ def test_only_model_names_the_workspace(path: Path):
         or (isinstance(node, ast.alias) and "_Workspace" in (node.name, node.asname))
     }
     assert not named, f"{path.name} names _Workspace on lines {sorted(named)}"
+
+
+POOLS = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+
+
+def _unmanaged_pools(tree: ast.AST) -> list[int]:
+    """Lines of pool constructions that are not the context expression of a
+    `with` item, so nothing shuts the pool down when its caller returns."""
+    managed = {
+        id(item.context_expr)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.With, ast.AsyncWith))
+        for item in node.items
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in POOLS
+        and id(node) not in managed
+    )
+
+
+def test_unmanaged_pools_are_found():
+    source = (
+        "with ThreadPoolExecutor(1) as pool, futures.ProcessPoolExecutor() as procs:\n"
+        "    pass\n"
+        "pool = ThreadPoolExecutor(2)\n"
+        "with contextlib.ExitStack() as stack:\n"
+        "    procs = stack.enter_context(futures.ProcessPoolExecutor())\n"
+    )
+    assert _unmanaged_pools(ast.parse(source)) == [3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_pools_are_opened_by_with(path: Path):
+    # A pool left open keeps its threads or processes past the call that
+    # made it, and an exception skips any shutdown written after it.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bare = _unmanaged_pools(tree)
+    assert not bare, f"{path.name} opens executor pools outside a `with` on lines {bare}"
 
 
 def _documented(obj) -> bool:
