@@ -8,6 +8,9 @@ or the head must leave every digest unchanged; a change that alters a
 random stream or the generated graphs on purpose re-records them and says
 why.
 
+The `tes/...` cases pin the whole `compute_tes` matrix of every propagation
+variant, three hops deep, on one SBM, each with its default self loops.
+
 The `run/...` cases cover every propagation variant under every sampler
 (replay), finetune and joint, each with both inter-task edge policies. One
 digest spans the accuracy matrix, the `serialize_buffer` bytes, every
@@ -52,7 +55,7 @@ from temcgl.coverage import singleton_coverage_table
 from temcgl.graph import build_graph, generate_sbm, induced_subgraph, normalize_adjacency
 from temcgl.harness import EDGE_POLICIES, RunConfig, RunResult, run_continual
 from temcgl.model import init_mlp, load_model, save_model
-from temcgl.propagation import VARIANTS, PropagationStrategy, TEMatrix
+from temcgl.propagation import VARIANTS, PropagationStrategy, TEMatrix, compute_tes
 from temcgl.rng import component_rng
 
 from helpers import select_and_commit
@@ -87,6 +90,15 @@ _RUN_STRATEGIES = {
     "hop_average": PropagationStrategy("hop_average", 2, alpha=0.3),
     "lazy_power": PropagationStrategy("lazy_power", 2, alpha=0.3),
     "reservoir": PropagationStrategy("reservoir", 2, hidden_dim=6, seed=1),
+}
+
+
+# three hops, so each blend repeats and the reservoir uses both weight pairs
+_TES_STRATEGIES = {
+    "power": PropagationStrategy("power", 3),
+    "hop_average": PropagationStrategy("hop_average", 3, alpha=0.3),
+    "lazy_power": PropagationStrategy("lazy_power", 3, alpha=0.3),
+    "reservoir": PropagationStrategy("reservoir", 3, hidden_dim=6, seed=1),
 }
 
 
@@ -136,6 +148,11 @@ def _golden_arrays() -> dict[str, tuple[np.ndarray, ...]]:
         for loops in (True, False):
             adj = normalize_adjacency(g, loops)
             out[f"normalize/{name}/{loops}"] = (adj.indptr, adj.indices, adj.values, adj.degrees)
+
+    g = _sbm("banded")
+    for variant, strategy in _TES_STRATEGIES.items():
+        adj = normalize_adjacency(g, strategy.default_self_loops)
+        out[f"tes/{variant}"] = (compute_tes(adj, g.features, strategy).values,)
 
     g = _sbm("uneven")
     nodes = np.flatnonzero(np.arange(g.num_nodes) % 3 != 1)
@@ -387,6 +404,10 @@ GOLDEN = {
     "sbm/banded": "3e05cc927effadc0a113222c0b05b5c20451d57f44c5e37ff1b7d3d80a8908e8",
     "normalize/banded/True": "451b90ff75f88e3b8b656818adb52d57f15f0376e0a747339cb626d51d5d4bfb",
     "normalize/banded/False": "5e19353c6b452487ea98bf8dd957516a45c7730d0261177207f98842616d8d62",
+    "tes/power": "eee1edb9e4b5fe58632bf96fedf8810a150f87fdda7e9ec5196b576fac74f356",
+    "tes/hop_average": "a4369b1b236d1967b28e0dd383efb4d28e99a325af5a49252846b850e2e06e93",
+    "tes/lazy_power": "d9a7e2ed88869ef8b9cef766250baaea484f30c92866f62b4b65711856147e54",
+    "tes/reservoir": "f1cee3f502d2ab98dd64c4dfa3ff88c77541403bfe295fabe7a8aa01ae9f6811",
     "induced/uneven": "046bb3aa9a381f7659fb86d95bfd619f12089479dda6042de9e1d9829ca58238",
     "restrict/uneven": "284ea487b7942e3990033be27d69b63dd1366a0286018a32db29155d6082b1fa",
     "coverage/uneven/1": "f6634694acd3105ee8064038529eb78f816c71125b5a3a9182ec31d93c32f064",
@@ -476,7 +497,7 @@ def produced(tmp_path_factory) -> dict[str, str]:
 
 def test_golden_cases_are_all_pinned(produced):
     assert sorted(produced) == sorted(GOLDEN)
-    assert sorted(_RUN_STRATEGIES) == sorted(VARIANTS)
+    assert sorted(_RUN_STRATEGIES) == sorted(_TES_STRATEGIES) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
