@@ -362,13 +362,22 @@ def homophily_ratio(g: Graph) -> float:
 def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
     """Subgraph on `nodes` (sorted, unique) with locally renumbered ids.
 
-    Features, labels, and split codes are sliced along. Degrees inside the
-    result are the subgraph's own — normalising it does not reuse parent
-    weights (contrast `NormalizedAdjacency.restrict`).
+    Features, labels, and split codes are sliced along. When `nodes` is one
+    contiguous id range they are read-only views of `g`'s arrays, which they
+    keep alive; any other selection gets copies. Degrees inside the result
+    are the subgraph's own — normalising it does not reuse parent weights
+    (contrast `NormalizedAdjacency.restrict`).
     """
     nodes = _sorted_node_ids(nodes, g.num_nodes, "induced_subgraph")
     indptr, indices, _ = _slice_csr(g.indptr, g.indices, nodes)
-    return Graph(len(nodes), indptr, indices, g.features[nodes], g.labels[nodes], g.split[nodes])
+    if nodes[-1] - nodes[0] == len(nodes) - 1:
+        kept = slice(nodes[0], nodes[-1] + 1)
+        columns = [g.features[kept], g.labels[kept], g.split[kept]]
+        for view in columns:
+            view.setflags(write=False)  # a write would reach the parent
+    else:
+        columns = [g.features[nodes], g.labels[nodes], g.split[nodes]]
+    return Graph(len(nodes), indptr, indices, *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +502,9 @@ def generate_sbm(
         else:
             direction = mean_rng.standard_normal(feature_dim)
             means[k] = radius * direction / np.linalg.norm(direction)
-    feat_rng = component_rng(seed, "sbm-features")
-    features = means[labels] + feat_rng.standard_normal((n, feature_dim))
+    features = component_rng(seed, "sbm-features").standard_normal((n, feature_dim))
+    for k in range(num_classes):
+        features[offsets[k] : offsets[k + 1]] += means[k]  # block k holds class k's nodes
 
     split_rng = component_rng(seed, "sbm-split")
     split = np.empty(n, dtype=np.int8)
@@ -546,9 +556,10 @@ def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
 
 
 def load_edge_list(path) -> np.ndarray:
+    with open(path, "rb") as fh:  # numpy warns on a file without data; stops at the first data line
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):
+            return np.empty((0, 2), dtype=np.int64)
     data = _loadtxt(path, np.int64, 2)
-    if data.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns, got {data.shape[1]}")
     return data

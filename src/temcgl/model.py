@@ -98,7 +98,9 @@ class _Workspace:
     batch and write every batch-sized intermediate into its arrays, so a
     training loop that keeps one workspace per batch allocates no
     batch-sized array per epoch. Results read from a workspace (activations,
-    logits, gradients) are overwritten by its next use. The inputs are
+    logits, gradients) are overwritten by its next use; `_loss_and_grad`
+    leaves each hidden activation holding its gradient, so a training
+    workspace keeps one rows x width array per hidden layer. The inputs are
     checked once, here: training sample weights when `y` is given, scoring
     classes when `classes` is given.
     """
@@ -133,7 +135,6 @@ class _Workspace:
         self.peak = np.empty((n, 1))
         self.log_sum = np.empty((n, 1))
         self.shifted = np.empty((n, num_out))
-        self.dh = [np.empty_like(h) for h in self.hs[1:]]
         self.active = [np.empty(h.shape, dtype=bool) for h in self.hs[1:]]
         self.grads = MlpParams._of(params.layer_dims, np.empty_like(params.flat))
 
@@ -218,9 +219,11 @@ def _loss_and_grad(params: MlpParams, ws: _Workspace) -> tuple[float, MlpParams]
         np.matmul(hs[layer].T, dz, out=ws.grads.weights[layer])
         np.add.reduce(dz, axis=0, out=ws.grads.biases[layer])
         if layer:
-            dz = np.matmul(dz, params.weights[layer].T, out=ws.dh[layer - 1])
-            # relu(z) > 0 exactly where z > 0
-            dz *= np.greater(hs[layer], 0.0, out=ws.active[layer - 1])
+            # relu(z) > 0 exactly where z > 0; the activation, read for the
+            # last time, then holds the gradient that flows into it
+            active = np.greater(hs[layer], 0.0, out=ws.active[layer - 1])
+            dz = np.matmul(dz, params.weights[layer].T, out=hs[layer])
+            dz *= active
     return loss, ws.grads
 
 

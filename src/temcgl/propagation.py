@@ -117,19 +117,23 @@ def _propagate_linear(adj: NormalizedAdjacency, x: np.ndarray, strategy: Propaga
         for _ in range(strategy.hops):
             p = adj.spmm(p)
         return p
+    # A blend sums p * (1 - alpha) and y * alpha in that order, the bits of
+    # (1 - alpha) * p + alpha * y, with one n x d temporary beside its result.
+    a, p = strategy.alpha, x
     if strategy.variant == "hop_average":
-        a = strategy.alpha
-        p = x
         acc = np.zeros_like(x)
         for _ in range(strategy.hops):
             p = adj.spmm(p)
-            acc += (1.0 - a) * p + a * x
-        return acc / strategy.hops
-    # lazy_power
-    a = strategy.alpha
-    p = x
-    for _ in range(strategy.hops):
-        p = (1.0 - a) * adj.spmm(p) + a * p
+            blend = p * (1.0 - a)
+            blend += x * a
+            acc += blend
+        acc /= strategy.hops
+        return acc
+    for _ in range(strategy.hops):  # lazy_power
+        q = adj.spmm(p)
+        q *= 1.0 - a
+        q += np.multiply(p, a, out=None if p is x else p)  # p is not read again
+        p = q
     return p
 
 
@@ -182,7 +186,11 @@ def _propagate_reservoir(adj: NormalizedAdjacency, x: np.ndarray, strategy: Prop
     h = x
     for step in range(strategy.hops):
         w_in, w_agg = (mats[0], mats[1]) if step == 0 else (mats[2], mats[3])
-        h = np.tanh(h @ w_in.T + adj.spmm(h) @ w_agg.T)
+        # the aggregate first, so A_hat h is freed before h W_in^T is made;
+        # addition commutes, so the sum has the bits of h W_in^T + A_hat h W_agg^T
+        agg = adj.spmm(h) @ w_agg.T
+        agg += h @ w_in.T
+        h = np.tanh(agg, out=agg)
     return h
 
 

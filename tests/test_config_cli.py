@@ -537,14 +537,24 @@ sys.exit(func())
 """
 
 
-def _declared_console_script(name):
+def _pyproject_project() -> dict:
+    """The `[project]` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+        return tomllib.load(fh)["project"]
+
+
+def _declared_console_script(name):
+    return _pyproject_project()["scripts"][name]
+
+
+def test_package_version_matches_pyproject():
+    # every manifest embeds `temcgl.__version__`; the two copies are kept by hand
+    assert temcgl.__version__ == _pyproject_project()["version"]
 
 
 def _cli_env():

@@ -381,6 +381,50 @@ def test_induced_subgraph_peak_stays_near_its_result(sbm_4k):
     assert peak - held < 3 * entry_bytes
 
 
+@pytest.fixture(scope="module")
+def sbm_wide():
+    # wide features outweigh the CSR arrays, so a copy of them shows in a peak
+    return generate_sbm((200,) * 10, p_in=0.02, p_out=0.001, feature_dim=64, feature_shift=1.0, seed=5)
+
+
+def test_contiguous_induced_subgraph_views_the_parent_read_only(sbm_wide):
+    g = sbm_wide
+    nodes = np.arange(200, 1800)
+    sub, peak = traced_peak(lambda: induced_subgraph(g, nodes))
+    for name in ("features", "labels", "split"):
+        view, parent = getattr(sub, name), getattr(g, name)
+        copied = parent[nodes]  # what any other selection gets
+        assert view.dtype == copied.dtype
+        np.testing.assert_array_equal(view, copied)
+        assert not view.flags.writeable and np.shares_memory(view, parent)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1
+        assert parent.flags.writeable
+    # the views are not new arrays; only the slice's CSR arrays are
+    assert peak - _nbytes(sub.indptr, sub.indices) < sub.features.nbytes
+
+
+def test_scattered_induced_subgraph_copies_the_parent_columns(sbm_wide):
+    g = sbm_wide
+    nodes = np.flatnonzero(g.labels % 2 == 0)
+    sub = induced_subgraph(g, nodes)
+    for name in ("features", "labels", "split"):
+        column, parent = getattr(sub, name), getattr(g, name)
+        np.testing.assert_array_equal(column, parent[nodes])
+        assert column.flags.writeable and not np.shares_memory(column, parent)
+
+
+def test_sbm_draws_its_features_in_place(monkeypatch):
+    # the noise matrix takes each class mean in place, so no second n x dim
+    # array is live; one CPU keeps the edge workers' band buffers to one
+    monkeypatch.setattr(graph_module, "_cpu_count", lambda: 1)
+    g, peak = traced_peak(
+        lambda: generate_sbm((500,) * 4, p_in=0.01, p_out=0.001, feature_dim=256, feature_shift=1.0, seed=6)
+    )
+    held = _nbytes(g.indptr, g.indices, g.features, g.labels, g.split)
+    assert peak - held < g.features.nbytes // 2
+
+
 def test_to_scipy_shares_the_operator_arrays(sbm_4k):
     # `spmm`'s scipy matrix wraps the operator's arrays instead of copying them
     g, _ = sbm_4k
@@ -792,6 +836,16 @@ def test_graph_files_accept_comments_and_blank_lines(tmp_path):
     _assert_same_graph(back, plain)
 
 
+@pytest.mark.parametrize("text", ["", "# no edges\n\n   \n# at all  \n"])
+def test_an_edges_file_without_pairs_loads_without_a_warning(tmp_path, text):
+    # `save_graph_files` writes an empty edges file for an edgeless graph;
+    # the suite turns numpy's "input contained no data" warning into an error
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    edges = graph_module.load_edge_list(path)
+    assert edges.shape == (0, 2) and edges.dtype == np.int64
+
+
 def test_loaders_reject_malformed_inputs(tmp_path):
     feats = tmp_path / "features.txt"
     labels = tmp_path / "labels.txt"
@@ -1069,10 +1123,5 @@ def test_load_graph_files_matches_build_graph(pairs, isolated, seed):
         np.savetxt(paths["features"], features, fmt="%.17g")
         np.savetxt(paths["labels"], labels, fmt="%d")
         graph_module.save_split_file(split, paths["split"])
-        if len(edges):
-            cold = _load(paths)
-        else:
-            with pytest.warns(UserWarning, match="input contained no data"):
-                cold = _load(paths)
-        for g in (cold, _load(paths)):
+        for g in (_load(paths), _load(paths)):
             _assert_same_graph(g, expected)

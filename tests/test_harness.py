@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temcgl.buffer import BudgetPolicy, MemoryBuffer
+from temcgl.buffer import BudgetPolicy, MemoryBuffer, serialize_buffer
 from temcgl.graph import TRAIN, build_graph, generate_sbm
 from temcgl import harness as harness_module
 from temcgl import model as model_module
 from temcgl.harness import (
+    EDGE_POLICIES,
     REGIMES,
     AccuracyMatrix,
     RunConfig,
@@ -396,6 +398,46 @@ def test_run_working_set_stays_below_one_n_by_dim_matrix():
     )
     _, peak = traced_peak(lambda: run_continual(g, cfg))
     assert peak < g.num_nodes * 128 * 8
+
+
+def test_keep_seen_run_working_set_holds_no_copy_of_the_features():
+    # Under keep_seen the last task sees every node. Its subgraph views the
+    # graph's features, so at the peak the run holds the two propagation
+    # products and its smaller arrays (2.74 n x dim in all), not a third
+    # n x dim copy (3.75 with one).
+    g = generate_sbm((150,) * 32, p_in=0.05, p_out=0.001, feature_dim=128, feature_shift=4.0,
+                     seed=0)
+    cfg = _cfg(sampler_id="uniform", budget=BudgetPolicy(count=2), epochs=5, patience=5)
+    _, peak = traced_peak(lambda: run_continual(g, cfg))
+    assert peak < 3.25 * g.features.nbytes
+
+
+_VARIANT_STRATEGIES = {
+    "power": PropagationStrategy("power", 2),
+    "hop_average": PropagationStrategy("hop_average", 2, alpha=0.3),
+    "lazy_power": PropagationStrategy("lazy_power", 2, alpha=0.3),
+    "reservoir": PropagationStrategy("reservoir", 2, hidden_dim=6, seed=1),
+}
+
+
+@pytest.mark.parametrize("edges", EDGE_POLICIES)
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("variant", sorted(_VARIANT_STRATEGIES))
+def test_run_on_a_read_only_graph_matches_the_writable_run(variant, regime, edges):
+    # A subgraph of a contiguous id range views its parent's columns, so a
+    # write into them anywhere in a run would reach the caller's graph.
+    g = _sbm(seed=3)
+    frozen = {name: getattr(g, name).copy() for name in ("indptr", "indices", "features", "labels", "split")}
+    for array in frozen.values():
+        array.setflags(write=False)
+    cfg = _cfg(strategy=_VARIANT_STRATEGIES[variant], regime=regime, inter_task_edges=edges,
+               epochs=8, patience=3)
+    got, want = run_continual(dataclasses.replace(g, **frozen), cfg), run_continual(g, cfg)
+    np.testing.assert_array_equal(got.matrix.values, want.matrix.values)
+    assert got.buffer_stats == want.buffer_stats
+    for p, q in zip(got.params_per_task, want.params_per_task, strict=True):
+        assert p.flat.tobytes() == q.flat.tobytes()
+    assert serialize_buffer(got.buffer) == serialize_buffer(want.buffer)
 
 
 def test_early_stopping_cuts_training_short():

@@ -514,6 +514,19 @@ def test_one_epoch_allocates_no_batch_sized_array():
         assert peak < params.flat.nbytes, name
 
 
+@pytest.mark.parametrize("hidden", [(9,), (9, 11), (9, 11, 13)])
+def test_training_workspace_holds_one_float_array_per_hidden_layer(hidden):
+    # the backward pass writes each layer's gradient into its activation,
+    # which the step has read for the last time, instead of a second array
+    rows = 17
+    _, params, x, y, w = _head_case(5, [6, *hidden, 4], rows, True)
+    workspace = _Workspace(params, x, y, w)
+    _loss_and_grad(params, workspace)
+    held = arrays_held(workspace)
+    for width in hidden:
+        assert sum(a.shape == (rows, width) and a.dtype == np.float64 for a in held) == 1, width
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
