@@ -364,11 +364,13 @@ def induced_subgraph(g: Graph, nodes: np.ndarray) -> Graph:
 
     Features, labels, and split codes are sliced along. When `nodes` is one
     contiguous id range they are read-only views of `g`'s arrays, which they
-    keep alive; any other selection gets copies. Degrees inside the result
-    are the subgraph's own — normalising it does not reuse parent weights
-    (contrast `NormalizedAdjacency.restrict`).
+    keep alive; any other selection gets copies. Every node gives `g`
+    itself. Degrees inside the result are the subgraph's own — normalising
+    it does not reuse parent weights (contrast `NormalizedAdjacency.restrict`).
     """
     nodes = _sorted_node_ids(nodes, g.num_nodes, "induced_subgraph")
+    if len(nodes) == g.num_nodes:
+        return g
     indptr, indices, _ = _slice_csr(g.indptr, g.indices, nodes)
     if nodes[-1] - nodes[0] == len(nodes) - 1:
         kept = slice(nodes[0], nodes[-1] + 1)

@@ -404,6 +404,11 @@ def test_contiguous_induced_subgraph_views_the_parent_read_only(sbm_wide):
     assert peak - _nbytes(sub.indptr, sub.indices) < sub.features.nbytes
 
 
+def test_induced_subgraph_of_every_node_is_the_graph_itself(sbm_wide):
+    # so the last keep_seen task slices no CSR copy of the whole graph
+    assert induced_subgraph(sbm_wide, np.arange(sbm_wide.num_nodes)) is sbm_wide
+
+
 def test_scattered_induced_subgraph_copies_the_parent_columns(sbm_wide):
     g = sbm_wide
     nodes = np.flatnonzero(g.labels % 2 == 0)
