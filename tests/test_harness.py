@@ -401,10 +401,10 @@ def test_run_working_set_stays_below_one_n_by_dim_matrix():
 
 
 def test_keep_seen_run_working_set_holds_no_copy_of_the_features():
-    # Under keep_seen the last task sees every node. Its subgraph views the
-    # graph's features, so at the peak the run holds the two propagation
-    # products and its smaller arrays (2.74 n x dim in all), not a third
-    # n x dim copy (3.75 with one).
+    # Under keep_seen the later tasks see most of the graph. A contiguous
+    # subgraph views the graph's features, so at the peak the run holds two
+    # propagation products and its smaller arrays (2.56 n x dim in all),
+    # not a third n x dim copy (3.75 when subgraphs copied the features).
     g = generate_sbm((150,) * 32, p_in=0.05, p_out=0.001, feature_dim=128, feature_shift=4.0,
                      seed=0)
     cfg = _cfg(sampler_id="uniform", budget=BudgetPolicy(count=2), epochs=5, patience=5)
