@@ -1,13 +1,15 @@
 """Replay memory of topology-aware embeddings, one batch of entries per task.
 
 The buffer never stores subgraphs — only embedding rows frozen at the time
-their task was current, with label / task / origin-node bookkeeping. It is
-held as four aligned columns: an (entries x dim) float64 matrix `te` and
-int64 vectors `label`, `task_id` and `node_id`, each a view of the filled
-rows of one row store that commits write into in place. Its byte footprint
-therefore scales with (entries x embedding dim) and is completely
-independent of node degrees. Buffer files are written and read a chunk of
-records at a time.
+their task was current, with label / task / origin-node bookkeeping. Each
+entry is one packed record of its file's layout (`_record_dtype`), held in
+one record store that commits write into in place: the (entries x dim)
+float64 matrix `te`, the int32 vectors `label` and `task_id` and the int64
+vector `node_id` are views of its fields. Its byte footprint therefore
+scales with (entries x embedding dim) and is completely independent of
+node degrees. A file is its header and then the committed records as they
+are held, so saving copies nothing and loading reads straight into a new
+store.
 
 The buffer only stores what a task commits; `select_entries` picks which of
 the task's candidates those are, by one of four policies:
@@ -21,7 +23,6 @@ the task's candidates those are, by one of four policies:
 """
 from __future__ import annotations
 
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -38,11 +39,10 @@ SAMPLER_IDS = ("uniform", "centroid", "coverage_max", "reservoir_stream")
 BUFFER_MAGIC = b"TEMB"
 BUFFER_FORMAT_VERSION = 1
 _BUFFER_HEADER = "<4sIIQ"  # magic, version, dim, entry count
-_CHUNK_BYTES = 1 << 20  # buffer files are written and read this much at a time
 
 
 def _record_dtype(dim: int) -> np.dtype:
-    """One packed on-disk entry, 16 + 8 * dim bytes."""
+    """One packed entry, in memory and on disk, 16 + 8 * dim bytes."""
     return np.dtype(
         [("task_id", "<i4"), ("node_id", "<i8"), ("label", "<i4"), ("te", "<f8", (dim,))]
     )
@@ -143,60 +143,58 @@ class MemoryBuffer:
 
     Row i of `te` is entry i's embedding; `label[i]`, `task_id[i]` and
     `node_id[i]` are its bookkeeping. All rows share one width. The four
-    columns are views of one row store, so a commit writes its rows in
-    place. A run sizes the store once for every row it will commit, behind
-    a leading block that holds the current rows of the head's batch (see
-    `_batch`); any other buffer grows it to exactly what each commit needs.
+    columns are views of the fields of one record store, so a commit writes
+    its rows in place. A run sizes the store once for every row it will
+    commit, behind a leading block that holds the current rows of the
+    head's batch (see `_batch`); any other buffer grows it to exactly what
+    each commit needs.
     """
 
     def __init__(self) -> None:
-        # `_lead` leading rows, then the committed rows; the rows of `_ids`
-        # are label, task_id and node_id.
-        self._rows = np.empty((0, 0))
-        self._ids = np.empty((3, 0), dtype=np.int64)
+        # `_lead` leading records, then the committed ones
+        self._store = np.empty(0, dtype=_record_dtype(0))
         self._lead = 0
         self._expose(0)
         # A set, not the task_id column: a task may commit zero rows.
         self._tasks_seen: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self.label)
+        return len(self._records)
 
     @property
     def tasks_seen(self) -> set[int]:
         return set(self._tasks_seen)
 
     def _expose(self, n: int) -> None:
-        """Point the four columns at the store's first `n` entries."""
+        """Point `_records` and the four columns at the store's first `n` entries."""
+        self._records = self._store[self._lead : self._lead + n]
         # an empty buffer's te stays (0, 0): it is written with dim 0
-        self.te = self._rows[self._lead : self._lead + n] if n else np.empty((0, 0))
-        self.label, self.task_id, self.node_id = self._ids[:, :n]
+        self.te = self._records["te"] if n else np.empty((0, 0))
+        self.label, self.task_id, self.node_id = (
+            self._records[name] for name in ("label", "task_id", "node_id")
+        )
 
     def _reserve(self, rows: int, lead: int, dim: int) -> None:
         """Give the store room for `rows` entries of width `dim` after a
-        `lead`-row leading block, keeping the entries committed so far."""
+        `lead`-record leading block, keeping the entries committed so far."""
+        store = np.empty(lead + rows, dtype=_record_dtype(dim))
         n = len(self)
-        store = np.empty((lead + rows, dim))
-        ids = np.empty((3, rows), dtype=np.int64)
-        if n:
-            store[lead : lead + n] = self.te
-            ids[:, :n] = self._ids[:, :n]
-        self._rows, self._ids, self._lead = store, ids, lead
+        store[lead : lead + n] = self._records
+        self._store, self._lead = store, lead
         self._expose(n)
 
     def _append(self, te, label, task_id, node_id) -> None:
         """Commit rows to all four columns at once, in place."""
         n, k = len(self), len(label)
-        if self._ids.shape[1] < n + k or self._rows.shape[1] != te.shape[1]:
+        if len(self._store) - self._lead < n + k or self._store.dtype["te"].shape != te.shape[1:]:
             self._reserve(n + k, self._lead, te.shape[1])
-        self._rows[self._lead + n : self._lead + n + k] = te
-        for column, values in zip(self._ids, (label, task_id, node_id)):
-            column[n : n + k] = values
+        new = self._store[self._lead + n : self._lead + n + k]
+        new["te"], new["label"], new["task_id"], new["node_id"] = te, label, task_id, node_id
         self._expose(n + k)
 
     def _batch(self, blocks: Sequence[np.ndarray], replayed: int) -> np.ndarray:
         """The rows of `blocks`, one after another, then the first `replayed`
-        entries, as one view of the store.
+        entries, as one view of the store's `te` field.
 
         `blocks` are copied into the end of the leading block, which grows
         if they do not fit. The next `_batch` rewrites the view's leading
@@ -204,13 +202,14 @@ class MemoryBuffer:
         """
         n = sum(len(b) for b in blocks)
         dim = blocks[0].shape[1]
-        if n > self._lead or self._rows.shape[1] != dim:
-            self._reserve(self._ids.shape[1], max(n, self._lead), dim)
+        if n > self._lead or self._store.dtype["te"].shape != (dim,):
+            self._reserve(len(self._store) - self._lead, max(n, self._lead), dim)
+        te = self._store["te"]
         start = self._lead - n
         for block in blocks:
-            self._rows[start : start + len(block)] = block
+            te[start : start + len(block)] = block
             start += len(block)
-        return self._rows[self._lead - n : self._lead + replayed]
+        return te[self._lead - n : self._lead + replayed]
 
     def commit(self, task_id: int, te: np.ndarray, label, node_id) -> None:
         """Store one task's entries: row i of `te` with `label[i]` and
@@ -224,13 +223,17 @@ class MemoryBuffer:
             raise ValueError(f"task {task_id} already committed to the buffer")
         if len(self) and self.te.shape[1] != te.shape[1]:
             raise ValueError("buffer entries disagree on embedding dim")
+        i32 = np.iinfo(np.int32)  # numpy would wrap an id outside it silently
+        if not i32.min <= task_id <= i32.max:
+            raise ValueError("task_id does not fit the buffer's int32 field")
+        if len(label) and (label.min() < i32.min or label.max() > i32.max):
+            raise ValueError("label does not fit the buffer's int32 field")
         self._append(te, label, np.full(len(te), task_id), node_id)
         self._tasks_seen.add(task_id)
 
     def footprint_bytes(self) -> int:
         """Exact size of the serialised buffer, counted without serialising it."""
-        entry = _record_dtype(self.te.shape[1]).itemsize
-        return struct.calcsize(_BUFFER_HEADER) + len(self) * entry
+        return struct.calcsize(_BUFFER_HEADER) + self._records.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -239,47 +242,20 @@ class MemoryBuffer:
 
 
 def _file_header(buf: MemoryBuffer) -> bytes:
-    """The header of `buf`'s file, once its ids are known to fit the file."""
-    i32 = np.iinfo(np.int32)
-    for name in ("task_id", "label"):
-        column = getattr(buf, name)
-        if len(column) and (column.min() < i32.min or column.max() > i32.max):
-            raise ValueError(f"buffer {name} does not fit the file's int32 field")
     dim = buf.te.shape[1]
     return struct.pack(_BUFFER_HEADER, BUFFER_MAGIC, BUFFER_FORMAT_VERSION, dim, len(buf))
 
 
-def _record_chunks(dim: int, count: int):
-    """`(start, records)` for each chunk of `count` records; every chunk is
-    a view of one array, rewritten by the next."""
-    dtype = _record_dtype(dim)
-    step = max(1, _CHUNK_BYTES // dtype.itemsize)
-    records = np.empty(min(step, count), dtype=dtype)
-    for start in range(0, count, step):
-        yield start, records[: min(step, count - start)]
-
-
-def _write_buffer(buf: MemoryBuffer, header: bytes, file) -> None:
-    """Write `header`, then `buf`'s packed records a chunk at a time."""
-    file.write(header)
-    for start, chunk in _record_chunks(buf.te.shape[1], len(buf)):
-        for name in ("task_id", "node_id", "label", "te"):
-            chunk[name] = getattr(buf, name)[start : start + len(chunk)]
-        file.write(chunk)
-
-
 def serialize_buffer(buf: MemoryBuffer) -> bytes:
     """The bytes `save_buffer` writes for `buf`."""
-    out = io.BytesIO()
-    _write_buffer(buf, _file_header(buf), out)
-    return out.getvalue()
+    return _file_header(buf) + buf._records.tobytes()
 
 
 def save_buffer(buf: MemoryBuffer, path) -> None:
-    """Write `buf`'s entries to `path` in the `serialize_buffer` format."""
-    header = _file_header(buf)  # a buffer the format refuses leaves `path` alone
+    """Write `buf`'s header, then its records as they are held, to `path`."""
     with open(path, "wb") as file:
-        _write_buffer(buf, header, file)
+        file.write(_file_header(buf))
+        file.write(buf._records)
 
 
 def load_buffer(path) -> MemoryBuffer:
@@ -306,9 +282,8 @@ def load_buffer(path) -> MemoryBuffer:
         if os.fstat(file.fileno()).st_size != size:
             raise ValueError(f"{path}: payload size mismatch")
         buf._reserve(count, 0, dim)
-        for _, chunk in _record_chunks(dim, count):
-            if file.readinto(chunk) != chunk.nbytes:
-                raise ValueError(f"{path}: truncated buffer file")
-            buf._append(chunk["te"], chunk["label"], chunk["task_id"], chunk["node_id"])
+        if file.readinto(buf._store) != size - head:
+            raise ValueError(f"{path}: truncated buffer file")
+        buf._expose(count)
     buf._tasks_seen.update(np.unique(buf.task_id).tolist())
     return buf

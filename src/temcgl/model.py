@@ -120,8 +120,8 @@ class _Workspace:
         n, num_out = self.logits.shape
         y = _whole_numbers("y", y)
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-        if w.shape != (n,) or np.any(w < 0):
-            raise ValueError("sample weights must be non-negative, one per row")
+        if w.shape != (n,) or not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("sample weights must be non-negative, one per row, and finite")
         total = w.sum()
         if total <= 0:
             raise ValueError("total sample weight must be positive")
@@ -444,10 +444,10 @@ def pseudo_gradient_check(
         raise ValueError("the identity is defined for linear strategies only")
     x = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("features must be strictly positive")
-    if np.any(w <= 0):
-        raise ValueError("head weights must be strictly positive")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError("features must be strictly positive and finite")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("head weights must be strictly positive and finite")
     if x.ndim != 2 or x.shape[0] != adj.num_nodes:
         raise ValueError("features must be (num_nodes, dim)")
     if w.ndim != 2 or w.shape[0] != x.shape[1]:

@@ -456,6 +456,20 @@ def test_loss_and_grad_rejects_labels_outside_the_output_layer():
         loss_and_grad(params, x, np.full(10, -1))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_loss_and_grad_refuses_sample_weights_that_are_negative_or_not_finite(bad):
+    # a NaN or infinite weight used to come back as a NaN loss
+    _, params, x, y, _ = _head_case(0, [4, 6, 3], 10, True)
+    w = np.ones(10)
+    w[3] = bad
+    with pytest.raises(ValueError, match="^sample weights must be non-negative, one per row"):
+        loss_and_grad(params, x, y, w)
+    with pytest.raises(ValueError, match="^sample weights must be non-negative, one per row"):
+        _Workspace(params, x, y, w)
+    with pytest.raises(ValueError, match="^sample weights must be non-negative, one per row"):
+        loss_and_grad(params, x, y, np.ones(9))
+
+
 def test_reused_workspace_matches_a_fresh_one_for_other_params():
     _, first, x, y, w = _head_case(1, [5, 7, 7, 4], 30, True)
     second = init_mlp([5, 7, 7, 4], component_rng(2, "model-init"))
@@ -668,6 +682,16 @@ def test_pseudo_gradient_check_rejects_bad_inputs():
         pseudo_gradient_check(adj, g.features, -weights, 0, strategy, target_class=0)
     with pytest.raises(ValueError):
         pseudo_gradient_check(adj, g.features, weights, 0, strategy, target_class=99)
+    # NaN compares false with 0, so it must fail the positivity checks another way
+    for bad in (np.nan, np.inf):
+        bad_feats = g.features.copy()
+        bad_feats[0, 0] = bad
+        with pytest.raises(ValueError, match="^features must be strictly positive"):
+            pseudo_gradient_check(adj, bad_feats, weights, 0, strategy, target_class=0)
+        bad_weights = weights.copy()
+        bad_weights[0, 0] = bad
+        with pytest.raises(ValueError, match="^head weights must be strictly positive"):
+            pseudo_gradient_check(adj, g.features, bad_weights, 0, strategy, target_class=0)
 
 
 def test_pseudo_gradient_isolated_node_without_mass_errors():
