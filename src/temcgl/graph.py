@@ -14,14 +14,17 @@ object because two different restrictions matter later on:
 Both restrictions slice the parent CSR arrays with one keep-mask over its
 entries, and construction, validation and normalisation work on whole
 int64 arrays (sorted ``row * n + col`` keys, masks, bincounts); no step
-loops over nodes in Python. scipy is this module's private multiply
-kernel: the propagation products of ``spmm``, and the boolean products of
-``_reach``, which returns every L-hop ball (receptive field, coverage) as
-plain ``(indptr, indices)`` arrays. Each hop multiplies by the graph's
-boolean A + I, built on first use and kept on the object; it is also the
-self-looped pattern that normalisation starts from. The SBM generator
-still draws one uniform per node pair, O(n^2) time, but in bounded bands
-spread over threads.
+loops over nodes in Python. The products call scipy's compiled CSR
+kernels (``scipy/sparse/_sparsetools``) directly, loaded once without
+importing the `scipy.sparse` package: ``csr_matvecs`` for the propagation
+products of ``spmm``, and boolean ``csr_matmat`` products for ``_reach``,
+which returns every L-hop ball (receptive field, coverage) as plain
+``(indptr, indices)`` arrays. The kernels check no bounds, so every array
+they read is validated first. Each hop multiplies by the graph's boolean
+A + I (one ``csr_plus_csr``), built on first use and kept on the object;
+it is also the self-looped pattern that normalisation starts from. The SBM
+generator still draws one uniform per node pair, O(n^2) time, but in
+bounded bands spread over threads.
 """
 from __future__ import annotations
 
@@ -29,15 +32,17 @@ import contextlib
 import copy
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import logging
 import operator
 import os
+import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib import format as npformat
 
 from .rng import component_rng
@@ -49,15 +54,55 @@ SPLIT_TOKENS = {TRAIN: "train", VALID: "valid", TEST: "test"}
 SPLIT_CODES = {v: k for k, v in SPLIT_TOKENS.items()}
 
 
-def _hop_pattern(g: "Graph | NormalizedAdjacency") -> sp.csr_array:
-    """Boolean A + I over `g`'s stored structure: one hop of `_reach`.
+def _load_sparsetools():
+    """scipy's compiled CSR kernels, loaded from their extension file
+    without importing the `scipy.sparse` package and its Python layer.
+
+    The module keeps scipy's name, whose last component names its init
+    symbol, but not its `sys.modules` entry: a single-phase extension
+    registers itself while it loads, so the entry is taken out again unless
+    an earlier ``import scipy.sparse`` made it. That import, earlier or
+    later, works as before.
+    """
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"{name} not found: scipy is not installed", name=name)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's own, as scipy's build uses
+    path = Path(spec.submodule_search_locations[0], "sparse", "_sparsetools" + suffix)
+    if not path.is_file():
+        raise ImportError(f"{name} not found at {path}", name=name, path=str(path))
+    registered = sys.modules.get(name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    if registered is None:
+        sys.modules.pop(name, None)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+def _hop_pattern(g: "Graph | NormalizedAdjacency") -> tuple[np.ndarray, np.ndarray]:
+    """Boolean A + I over `g`'s stored structure, as int64 ``(indptr, indices)``:
+    one hop of `_reach`.
 
     ``+`` is ``or``, so a stored diagonal changes nothing. From sorted rows
     (a `Graph`'s) the rows come out sorted with the diagonal in place, which
     is the pattern `normalize_adjacency` uses for self loops.
     """
-    stored = sp.csr_array((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr), shape=(g.num_nodes,) * 2)
-    return stored + sp.eye_array(g.num_nodes, dtype=bool, format="csr")
+    n = g.num_nodes
+    indptr, indices = g.indptr.astype(np.int64, copy=False), g.indices.astype(np.int64, copy=False)
+    eye = np.arange(n + 1, dtype=np.int64)
+    hop_indptr, hop_indices = np.empty(n + 1, dtype=np.int64), np.empty(len(indices) + n, dtype=np.int64)
+    _sparsetools.csr_plus_csr(
+        n, n,
+        indptr, indices, np.ones(len(indices), dtype=bool),  # A
+        eye, eye[:-1], np.ones(n, dtype=bool),  # I
+        hop_indptr, hop_indices, np.empty(len(hop_indices), dtype=bool),  # their sum
+    )
+    return hop_indptr, hop_indices[: hop_indptr[-1]]
 
 
 @dataclass(frozen=True)
@@ -262,7 +307,9 @@ class NormalizedAdjacency:
 
     ``degrees`` records the (post-self-loop) row sums of A[+I]; every stored
     value equals 1/sqrt(degrees[u] * degrees[v]). Rows of isolated nodes are
-    empty, never NaN.
+    empty, never NaN. Construction checks the CSR structure and stores the
+    index arrays as int64 and the values and degrees as float64, the arrays
+    the kernels are called with; rows need not be sorted.
     """
 
     num_nodes: int
@@ -272,25 +319,53 @@ class NormalizedAdjacency:
     degrees: np.ndarray
     self_loops: bool
 
-    _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
+    def __post_init__(self) -> None:
+        # the kernels check no bounds: a column outside [0, n) would read
+        # memory outside `spmm`'s `x`
+        _int_fields(self, "num_nodes")
+        if (n := self.num_nodes) < 1:
+            raise ValueError("operator needs at least one node")
+        for name in ("indptr", "indices"):
+            if (value := np.asarray(getattr(self, name))).dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an array of integers")
+            object.__setattr__(self, name, value.astype(np.int64, copy=False))
+        for name in ("values", "degrees"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        indptr, indices = self.indptr, self.indices
+        if indptr.shape != (n + 1,):
+            raise ValueError(f"index pointer size {indptr.shape} should be ({n + 1},)")
+        if indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("index pointer should start with 0 and never decrease")
+        if indices.ndim != 1 or self.values.shape != indices.shape:
+            raise ValueError("indices and values should be 1-D and have the same size")
+        if indptr[-1] != len(indices):
+            raise ValueError(f"last index pointer value {indptr[-1]} should equal the size {len(indices)} of indices")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"column indices should lie in [0, {n})")
+        if self.degrees.shape != (n,):
+            raise ValueError(f"degrees shape {self.degrees.shape} should be ({n},)")
 
-    @functools.cached_property
-    def _csr(self) -> sp.csr_array:  # `spmm`'s matrix: built once, on this operator's arrays
-        return sp.csr_array((self.values, self.indices, self.indptr), shape=(self.num_nodes,) * 2)
+    _hop = functools.cached_property(_hop_pattern)  # built on first use, then kept
 
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """Sparse-dense product; the one kernel all propagation goes through.
 
-        scipy's CSR multiply accumulates each output row sequentially in
+        scipy's ``csr_matvecs`` accumulates each output row sequentially in
         stored column order, which is what makes restricted recomputation
-        reproduce full-graph rows bit for bit.
+        reproduce full-graph rows bit for bit. It is the kernel scipy's
+        ``@`` calls for a matrix; for a vector ``@`` calls ``csr_matvec``,
+        which adds in the same order and gives the same bits.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        out = self._csr @ x
-        return out[:, 0] if squeeze else out
+        if x.ndim not in (1, 2):
+            raise ValueError(f"could not interpret x of {x.ndim} dimensions: spmm takes a vector or a matrix")
+        if len(x) != (n := self.num_nodes):
+            raise ValueError(f"dimension mismatch: x has {len(x)} rows for an operator on {n} nodes")
+        x = np.ascontiguousarray(x)  # the kernel reads each row of x as `cols` adjacent values
+        out = np.zeros(x.shape)
+        cols = x.shape[1] if x.ndim == 2 else 1
+        _sparsetools.csr_matvecs(n, n, cols, self.indptr, self.indices, self.values, x, out)
+        return out
 
     def restrict(self, nodes: np.ndarray) -> "NormalizedAdjacency":
         """Submatrix on `nodes` (sorted, unique), copying values verbatim.
@@ -315,7 +390,7 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
     """Symmetrically normalised operator of `g`, optionally with self loops."""
     n = g.num_nodes
     if self_loops:
-        indptr, cols = g._hop.indptr, g._hop.indices  # sorted rows, diagonal in place
+        indptr, cols = g._hop  # sorted rows, diagonal in place
     else:
         indptr, cols = g.indptr, g.indices
     indptr, cols = indptr.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
@@ -337,18 +412,27 @@ def normalize_adjacency(g: Graph, self_loops: bool) -> NormalizedAdjacency:
 def _reach(g: "Graph | NormalizedAdjacency", seeds, starts, hops: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR index arrays ``(indptr, indices)``: row r lists once each, in no
     set order, every node within `hops` steps of ``seeds[starts[r]:starts[r + 1]]``
-    in `g`'s stored structure.
+    in `g`'s stored structure. `seeds` must be node ids of `g`.
 
-    Each hop is a boolean sparse product with `g._hop`, built once per graph.
-    `seeds` and `starts` are copied: the matrix would keep int64 arrays and
-    sort them in place.
+    The calls are those of scipy's ``sum_duplicates`` and boolean ``@``:
+    each hop is a product with `g._hop`, built once per graph. `seeds` and
+    `starts` are copied, since the first two kernels work in place.
     """
-    seeds, starts = np.array(seeds, dtype=np.int64), np.array(starts, dtype=np.int64)
-    reach = sp.csr_array((np.ones(len(seeds), dtype=bool), seeds, starts), shape=(len(starts) - 1, g.num_nodes))
-    reach.sum_duplicates()  # repeated seeds merge; boolean sums and products add by `or`
+    indptr, indices = np.array(starts, dtype=np.int64), np.array(seeds, dtype=np.int64)
+    rows, n = len(indptr) - 1, g.num_nodes
+    data = np.ones(len(indices), dtype=bool)  # boolean sums and products add by `or`
+    _sparsetools.csr_sort_indices(rows, indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(rows, n, indptr, indices, data)  # repeated seeds merge
+    indices = indices[: indptr[-1]]
+    if hops:
+        hop_indptr, hop_indices = g._hop
+        hop_data = np.ones(len(hop_indices), dtype=bool)
     for _ in range(hops):
-        reach = reach @ g._hop
-    return reach.indptr, reach.indices
+        nnz = _sparsetools.csr_matmat_maxnnz(rows, n, indptr, indices, hop_indptr, hop_indices)
+        product = np.empty(rows + 1, dtype=np.int64), np.empty(nnz, dtype=np.int64), np.empty(nnz, dtype=bool)
+        _sparsetools.csr_matmat(rows, n, indptr, indices, data, hop_indptr, hop_indices, hop_data, *product)
+        indptr, indices, data = product
+    return indptr, indices
 
 
 def homophily_ratio(g: Graph) -> float:

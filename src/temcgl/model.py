@@ -122,7 +122,10 @@ class _Workspace:
         w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
         if w.shape != (n,) or not np.all(np.isfinite(w) & (w >= 0)):
             raise ValueError("sample weights must be non-negative, one per row, and finite")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("total sample weight overflows float64")
         if total <= 0:
             raise ValueError("total sample weight must be positive")
         if y.shape != (n,) or np.any((y < 0) | (y >= num_out)):

@@ -316,7 +316,9 @@ def test_self_loops_match_scipy_sum(pattern):
     for ids in (indices, indices.astype(np.int32)):
         g = Graph(n, indptr, ids, np.zeros((n, 1)), zeros, zeros.astype(np.int8))
         adj = normalize_adjacency(g, self_loops=True)
-        assert g._hop.data.all()  # the boolean A + I that `_reach` also steps over
+        for x, y in zip(g._hop, want):  # the boolean A + I that `_reach` also steps over
+            assert x.dtype == np.int64
+            np.testing.assert_array_equal(x, y)
         for x, y in zip((adj.indptr, adj.indices), want):
             assert x.dtype == np.int64
             np.testing.assert_array_equal(x, y)
@@ -430,16 +432,22 @@ def test_sbm_draws_its_features_in_place(monkeypatch):
     assert peak - held < g.features.nbytes // 2
 
 
-def test_to_scipy_shares_the_operator_arrays(sbm_4k):
-    # `spmm`'s scipy matrix wraps the operator's arrays instead of copying them
+def test_to_scipy_shares_the_operator_arrays(sbm_4k, monkeypatch):
+    # `spmm` hands scipy's kernel the operator's own arrays instead of copies
     g, _ = sbm_4k
+    calls, kernel = [], graph_module._sparsetools.csr_matvecs
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(graph_module._sparsetools, "csr_matvecs", spy)
     for loops in (False, True):
         adj = normalize_adjacency(g, self_loops=loops)
-        m = adj._csr
-        assert isinstance(m, sp.csr_array)
-        assert np.shares_memory(m.indices, adj.indices)
-        assert np.shares_memory(m.indptr, adj.indptr)
-        assert np.shares_memory(m.data, adj.values)
+        out = adj.spmm(g.features)
+        *_, indptr, indices, values, x, into = calls.pop()
+        assert indptr is adj.indptr and indices is adj.indices and values is adj.values
+        assert x is g.features and into is out
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +520,133 @@ def test_spmm_and_restrict_match_dense():
         np.testing.assert_array_equal(dense_operator(sub), dense[np.ix_(keep, keep)])
 
 
-def test_spmm_reuses_one_scipy_matrix(monkeypatch):
+def test_spmm_allocates_only_its_result():
     rng = np.random.default_rng(5)
-    n = 12
-    edges = random_edges(n, 0.3, rng)
+    n = 2000
+    edges = random_edges(n, 0.005, rng)
     adj = normalize_adjacency(build_graph(n, edges), self_loops=True)
-    dense = dense_normalized(dense_adjacency(n, edges), self_loops=True)
-    x1, x2 = rng.standard_normal((n, 3)), rng.standard_normal(n)
-    first = adj.spmm(x1)
-    matrix = adj._csr
+    for x in (rng.standard_normal((n, 8)), rng.standard_normal(n)):
+        out, peak = traced_peak(lambda: adj.spmm(x))
+        assert out.nbytes <= peak < out.nbytes + 1024
 
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("the scipy matrix was built again")
 
-    monkeypatch.setattr(graph_module.sp, "csr_array", no_rebuild)
-    second = adj.spmm(x2)
-    assert adj._csr is matrix
-    np.testing.assert_allclose(first, dense @ x1, atol=1e-12)
-    np.testing.assert_allclose(second, dense @ x2, atol=1e-12)
+# ---------------------------------------------------------------------------
+# scipy's kernels, called directly: the same bits as scipy's own calls
+# ---------------------------------------------------------------------------
+
+
+def _views_of(x: np.ndarray) -> dict[str, np.ndarray]:
+    """`x` (n, 4) as every layout `spmm` takes."""
+    wide = np.zeros((len(x), 12))
+    wide[:, ::3] = x
+    return {
+        "vector": x[:, 0].copy(),
+        "column": x[:, :1].copy(),
+        "matrix": x,
+        "fortran": np.asfortranarray(x),
+        "strided columns": wide[:, ::3],
+        "strided vector": wide[:, 3],
+        "integers": np.rint(x * 4).astype(np.int64),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=_PATTERNS, loops=st.booleans())
+@example(pattern=(5, 0.0, 0), loops=False)  # every row empty
+@example(pattern=(12, 0.2, 3), loops=False)
+def test_spmm_matches_scipy_bit_for_bit(pattern, loops):
+    a, rng = _random_adjacency(pattern)
+    n = len(a)
+    indptr, indices = dense_csr(a)
+    zeros = np.zeros(n, dtype=np.int64)
+    adj = normalize_adjacency(Graph(n, indptr, indices, np.zeros((n, 1)), zeros, zeros.astype(np.int8)), loops)
+    matrix = sp.csr_array((adj.values, adj.indices, adj.indptr), shape=(n, n))
+    for name, x in _views_of(rng.standard_normal((n, 4))).items():
+        got, want = adj.spmm(x), matrix @ x
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64, name
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+def test_kernels_are_scipys_own_file():
+    import scipy.sparse._sparsetools as scipy_kernels
+
+    assert graph_module._sparsetools.__file__ == scipy_kernels.__file__
+
+
+def test_kernel_loader_names_what_it_looked_for(monkeypatch):
+    import importlib.machinery
+    import importlib.util
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"_sparsetools\.missing\.so"):
+        graph_module._load_sparsetools()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        graph_module._load_sparsetools()
+
+
+def _operator(**changes) -> graph_module.NormalizedAdjacency:
+    """A valid 3-node path operator without self loops, with `changes` applied."""
+    s = 1.0 / np.sqrt(2.0)
+    fields = dict(
+        num_nodes=3,
+        indptr=np.array([0, 1, 3, 4]),
+        indices=np.array([1, 0, 2, 1]),
+        values=np.array([s, s, s, s]),
+        degrees=np.array([1.0, 2.0, 1.0]),
+        self_loops=False,
+    )
+    return graph_module.NormalizedAdjacency(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(indptr=np.array([0, 1, 3])), "index pointer size"),
+        (dict(indptr=np.array([[0, 1, 3, 4]])), "index pointer size"),
+        (dict(indptr=np.array([1, 1, 3, 4])), "start with 0"),
+        (dict(indptr=np.array([0, 3, 1, 4])), "never decrease"),
+        (dict(indptr=np.array([0, 1, 3, 3])), "last index pointer value 3"),
+        (dict(indptr=np.array([0, 1, 3, 4.0])), "indptr must be an array of integers"),
+        (dict(indices=np.array([1.0, 0, 2, 1])), "indices must be an array of integers"),
+        (dict(values=np.ones(3)), "same size"),
+        (dict(indices=np.array([[1, 0, 2, 1]])), "1-D"),
+        (dict(indices=np.array([1, 0, 5, 1])), r"column indices should lie in \[0, 3\)"),
+        (dict(indices=np.array([1, 0, -1, 1])), r"column indices should lie in \[0, 3\)"),
+        (dict(degrees=np.ones(2)), "degrees shape"),
+        (dict(num_nodes=0, indptr=np.array([0]), indices=np.array([], dtype=int), values=np.array([])), "at least one node"),
+    ],
+)
+def test_operator_refuses_malformed_csr(changes, message):
+    # the kernels read without bounds checks: a column of 5 or -1 once read
+    # memory outside `x`
+    with pytest.raises(ValueError, match=message):
+        _operator(**changes)
+
+
+def test_operator_stores_the_kernels_dtypes():
+    adj = _operator(indptr=np.array([0, 1, 3, 4], dtype=np.int32), indices=np.array([1, 0, 2, 1], dtype=np.uint8))
+    assert adj.indptr.dtype == adj.indices.dtype == np.int64
+    assert adj.values.dtype == adj.degrees.dtype == np.float64
+    np.testing.assert_array_equal(adj.spmm(np.ones(3)), _operator().spmm(np.ones(3)))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.ones(2), "dimension mismatch"),
+        (np.ones((4, 2)), "dimension mismatch"),
+        (np.ones((3, 2, 1)), "could not interpret"),
+        (np.float64(1.0), "could not interpret"),
+    ],
+)
+def test_spmm_refuses_x_of_the_wrong_shape(x, message, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(graph_module._sparsetools, "csr_matvecs", no_kernel)
+    with pytest.raises(ValueError, match=message):
+        _operator().spmm(x)
 
 
 def test_restrict_requires_sorted_unique_ids():

@@ -5,6 +5,12 @@ package, only `model.py` names the head's private workspace, every
 executor pool is opened by a `with` statement, and every public function
 and class has a docstring (a dataclass's generated signature is not one).
 
+Two checks keep scipy's Python layer out of the package, which calls only
+scipy's compiled CSR kernels, loaded from their file by `graph.py`: no
+module has an ``import scipy…`` or ``from scipy…`` statement, and a fresh
+interpreter that imports `temcgl` and `temcgl.cli` has loaded no
+``scipy.sparse*`` or ``scipy._lib*`` module.
+
 `__init__.py` is left out of the import check: its imports are the public
 re-exports.
 """
@@ -12,6 +18,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +205,47 @@ def test_public_names_have_docstrings():
         if (inspect.isfunction(obj) or inspect.isclass(obj)) and not _documented(obj)
     ]
     assert not undocumented, f"public names without a docstring: {undocumented}"
+
+
+def _scipy_imports(tree: ast.AST) -> list[int]:
+    """Lines of ``import scipy…`` and ``from scipy…`` statements."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy")
+    )
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import scipy\nimport scipy.sparse as sp\nfrom scipy import sparse\n"
+        "from scipy.sparse import csr_array\nimport scipyx\nfrom . import scipy\n"
+        "def f():\n    import numpy, scipy.linalg\n"
+    )
+    assert _scipy_imports(ast.parse(source)) == [1, 2, 3, 4, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path: Path):
+    # importing any of scipy's Python layer brings its namespace machinery,
+    # about 17 MiB of every run's peak memory
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _scipy_imports(tree)
+    assert not lines, f"{path.name} imports scipy on lines {lines}"
+
+
+def test_import_loads_no_scipy_python_layer():
+    script = (
+        "import sys\n"
+        "import temcgl, temcgl.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy._lib'))))\n"
+        "import numpy as np, scipy.sparse as sp\n"  # scipy's own import still works afterwards
+        "assert sp._sparsetools.__file__ == temcgl.graph._sparsetools.__file__\n"
+        "assert (sp.eye_array(3, format='csr') @ np.ones(3)).tolist() == [1.0, 1.0, 1.0]\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -470,6 +470,20 @@ def test_loss_and_grad_refuses_sample_weights_that_are_negative_or_not_finite(ba
         loss_and_grad(params, x, y, np.ones(9))
 
 
+def test_loss_and_grad_refuses_sample_weights_whose_total_overflows():
+    # the overflowing total used to come back as loss -0.0 and zero gradients
+    params = init_mlp([3, 2], component_rng(0, "model-init"))
+    x = np.ones((2, 3))
+    with pytest.raises(ValueError, match="^total sample weight overflows float64$"):
+        loss_and_grad(params, x, [0, 1], [1e308, 1e308])
+    # a large total that fits scales away exactly
+    big, grads = loss_and_grad(params, x, [0, 1], [1e307, 1e307])
+    loss, want = loss_and_grad(params, x, [0, 1])
+    assert big == loss
+    for got, expect in zip(_tensors(grads), _tensors(want)):
+        assert _same_bits(got, expect)
+
+
 def test_reused_workspace_matches_a_fresh_one_for_other_params():
     _, first, x, y, w = _head_case(1, [5, 7, 7, 4], 30, True)
     second = init_mlp([5, 7, 7, 4], component_rng(2, "model-init"))
